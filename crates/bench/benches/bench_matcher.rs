@@ -1,15 +1,16 @@
 //! Plan-matching micro-benchmarks: the paper's sequential repository scan
-//! vs the fingerprint-index ablation, across repository sizes.
+//! vs the index-routed matcher, across repository sizes.
 //!
-//! The paper scans the ordered repository linearly (§3); the index
+//! The paper scans the ordered repository linearly (§3); the matcher
 //! pre-filters candidates by tip signature. Both return identical
 //! matches (asserted in `repository::tests`); this bench quantifies the
-//! lookup-cost difference that motivates the ablation.
+//! lookup-cost difference that motivates the index.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use restore_core::{RepoStats, Repository};
+use restore_core::{MatchProbe, RepoStats, Repository};
 use restore_dataflow::expr::Expr;
 use restore_dataflow::physical::{PhysicalOp, PhysicalPlan};
+use std::collections::HashSet;
 use std::hint::black_box;
 
 /// A distinct Load→Filter→Project→Store plan per index.
@@ -32,9 +33,8 @@ fn query_plan(i: usize) -> PhysicalPlan {
     p
 }
 
-fn repo_of(n: usize, indexed: bool) -> Repository {
+fn repo_of(n: usize) -> Repository {
     let repo = Repository::new();
-    repo.set_fingerprint_index(indexed);
     for i in 0..n {
         repo.insert(
             entry_plan(i),
@@ -54,15 +54,19 @@ fn bench_matching(c: &mut Criterion) {
     let mut group = c.benchmark_group("repository_match");
     group.sample_size(30);
     for &n in &[8usize, 64, 256] {
-        let scan = repo_of(n, false);
-        let indexed = repo_of(n, true);
+        let repo = repo_of(n);
+        let none = HashSet::new();
         // Worst case for the scan: the matching entry is near the end.
         let query = query_plan(n - 1);
         group.bench_with_input(BenchmarkId::new("sequential_scan", n), &n, |b, _| {
-            b.iter(|| black_box(scan.find_first_match(black_box(&query))))
+            b.iter(|| black_box(repo.view().scan_first_match(black_box(&query), &none)))
         });
-        group.bench_with_input(BenchmarkId::new("fingerprint_index", n), &n, |b, _| {
-            b.iter(|| black_box(indexed.find_first_match(black_box(&query))))
+        group.bench_with_input(BenchmarkId::new("index_routed", n), &n, |b, _| {
+            let mut probe = MatchProbe::default();
+            b.iter(|| {
+                probe.reset();
+                black_box(repo.view().find_first_match(black_box(&query), &none, &mut probe))
+            })
         });
         // Miss case: nothing matches.
         let miss = {
@@ -72,7 +76,7 @@ fn bench_matching(c: &mut Criterion) {
             p
         };
         group.bench_with_input(BenchmarkId::new("scan_miss", n), &n, |b, _| {
-            b.iter(|| black_box(scan.find_first_match(black_box(&miss))))
+            b.iter(|| black_box(repo.view().scan_first_match(black_box(&miss), &none)))
         });
     }
     group.finish();

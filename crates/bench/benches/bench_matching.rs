@@ -1,6 +1,6 @@
 //! Concurrent repository-matching throughput: the pre-refactor locked
-//! design vs the RCU snapshot design, across repository sizes and
-//! submitting threads.
+//! design vs the published-snapshot design, across repository sizes
+//! and submitting threads.
 //!
 //! Two ablation arms, identical match kernels:
 //!
@@ -8,11 +8,12 @@
 //!   repository-wide `RwLock` read guard and runs the paper's §3
 //!   sequential scan under it; every *hit* then takes the **write**
 //!   guard to bump the reuse statistics, serializing all readers.
-//! * `snapshot_indexed` — the current architecture: each match grabs
-//!   the RCU snapshot (lock-free), filters candidates through the
-//!   inverted tip-signature index, and records the reuse through the
-//!   entry's shared atomics. No lock is ever taken; the bench asserts
-//!   the publish counter stays frozen.
+//! * `snapshot_indexed` — the current architecture: each match loads
+//!   the published repository view (one `Arc` clone per shard under a
+//!   brief read lock), runs the index-routed matcher
+//!   (`RepoView::find_first_match`), and records the reuse through the
+//!   entry's shared atomics. No writer section is entered; the bench
+//!   asserts the publish counter stays frozen.
 //!
 //! Repository sizes default to 10² / 10³ / 10⁴ entries and 1/2/4/8
 //! threads; `MATCHING_SIZES` (comma-separated) trims the matrix — CI
@@ -24,14 +25,14 @@
 //! insertion is O(n²) in pairwise subsumption checks, so the corpus is
 //! built with [`Repository::bulk_load`] — O(n log n) rule-2 ordering,
 //! valid because the generated plans are pairwise incomparable. Only
-//! the indexed match path runs at this size (the locked sequential
+//! the index-routed matcher runs at this size (the locked sequential
 //! scan would take minutes per round).
 //!
 //! A fourth arm, `matching_bulk_telemetry`, measures the cost of
-//! observation itself: the driver's instrumented match path (probed
-//! matcher + counter/histogram recording) against the bare indexed
-//! matcher on the same corpus, and asserts the instrumented path stays
-//! within 5% (interleaved min-of-rounds).
+//! observation itself: the driver's instrumented match path (matcher +
+//! counter/histogram recording) against the bare matcher on the same
+//! corpus, and asserts the instrumented path stays within 5%
+//! (interleaved min-of-rounds).
 //!
 //! A fifth arm, `insert_sharded`, is the **write-path** ablation: 1/2/
 //! 4/8 writer threads registering disjoint plan corpora into a
@@ -162,8 +163,8 @@ const INSERTS_PER_WRITER: usize = 64;
 
 /// Write-path ablation: concurrent writers registering disjoint
 /// corpora, repository striped `shards` ways. Each timed round builds
-/// a fresh repository (construction is a handful of empty `Rcu`s —
-/// noise next to the inserts) so every round performs identical work.
+/// a fresh repository (construction is a handful of empty snapshot
+/// cells — noise next to the inserts) so every round performs identical work.
 fn bench_insert_sharded(c: &mut Criterion) {
     for &shards in &shard_counts() {
         let mut group = c.benchmark_group(format!("insert_sharded/shards{shards}"));
@@ -214,7 +215,7 @@ fn bench_insert_sharded(c: &mut Criterion) {
     }
 }
 
-/// 10⁵-entry arm: bulk-loaded corpus, snapshot + inverted index only.
+/// 10⁵-entry arm: bulk-loaded corpus, index-routed matcher only.
 fn bench_matching_bulk(c: &mut Criterion) {
     for &n in &bulk_sizes() {
         let items: Vec<_> = (0..n)
@@ -251,10 +252,12 @@ fn bench_matching_bulk(c: &mut Criterion) {
                                 let tick = &tick;
                                 scope.spawn(move || {
                                     let none = HashSet::new();
+                                    let mut probe = MatchProbe::default();
                                     for q in qs {
-                                        let snap = repo.snapshot();
+                                        probe.reset();
+                                        let view = repo.view();
                                         let hit = black_box(
-                                            snap.find_first_match_indexed(q, &none)
+                                            view.find_first_match(q, &none, &mut probe)
                                                 .map(|(id, _)| id),
                                         );
                                         if let Some(id) = hit {
@@ -308,9 +311,9 @@ fn bench_matching(c: &mut Criterion) {
                                             // repository-wide read guard.
                                             let hit = {
                                                 let guard = lock.read();
-                                                let snap = guard.snapshot();
+                                                let view = guard.view();
                                                 black_box(
-                                                    snap.find_first_match_scan(q, &none)
+                                                    view.scan_first_match(q, &none)
                                                         .map(|(id, _)| id),
                                                 )
                                             };
@@ -334,7 +337,7 @@ fn bench_matching(c: &mut Criterion) {
             group.finish();
         }
 
-        // ---- snapshot_indexed: RCU snapshot + inverted index ----
+        // ---- snapshot_indexed: published view + index-routed matcher ----
         {
             let publishes_before = repo.publish_count();
             let mut group = c.benchmark_group(format!("matching_snapshot_indexed/n{n}"));
@@ -353,10 +356,12 @@ fn bench_matching(c: &mut Criterion) {
                                     let tick = &tick;
                                     scope.spawn(move || {
                                         let none = HashSet::new();
+                                        let mut probe = MatchProbe::default();
                                         for q in qs {
-                                            let snap = repo.snapshot();
+                                            probe.reset();
+                                            let view = repo.view();
                                             let hit = black_box(
-                                                snap.find_first_match_indexed(q, &none)
+                                                view.find_first_match(q, &none, &mut probe)
                                                     .map(|(id, _)| id),
                                             );
                                             if let Some(id) = hit {
@@ -386,12 +391,12 @@ fn bench_matching(c: &mut Criterion) {
     }
 }
 
-/// Telemetry-overhead arm: the instrumented match path — the probed
-/// matcher plus the counter/histogram recording the driver hot path
-/// performs — against the bare indexed matcher, on the same bulk
-/// corpus and query mix. Both variants run the same view machinery;
-/// the delta is exactly the observation cost (one `MatchProbe`, two
-/// `Instant` reads, and a handful of relaxed `fetch_add`s per query).
+/// Telemetry-overhead arm: the instrumented match path — the matcher
+/// plus the counter/histogram recording the driver hot path performs —
+/// against the bare matcher, on the same bulk corpus and query mix.
+/// Both variants run the same matcher with a reused `MatchProbe`; the
+/// delta is exactly the registry recording (a handful of relaxed
+/// `fetch_add`s per query).
 ///
 /// Beyond archiving both timings, the arm *asserts* the invariant the
 /// telemetry crate promises: interleaved min-of-rounds, the
@@ -415,9 +420,6 @@ fn bench_matching_telemetry_overhead(c: &mut Criterion) {
         })
         .collect();
     let repo = Repository::bulk_load(items);
-    // Route both variants through the indexed strategy (the bulk arm's
-    // path): without the flag the view falls back to sequential scan.
-    repo.set_fingerprint_index(true);
     let view = repo.view();
     let queries = thread_queries(n, 0);
 
@@ -430,9 +432,11 @@ fn bench_matching_telemetry_overhead(c: &mut Criterion) {
 
     let none = HashSet::new();
     let round_plain = || {
+        let mut probe = MatchProbe::default();
         let mut found = 0u64;
         for q in &queries {
-            if black_box(view.find_first_match_excluding(q, &none)).is_some() {
+            probe.reset();
+            if black_box(view.find_first_match(q, &none, &mut probe)).is_some() {
                 found += 1;
             }
         }
@@ -448,7 +452,7 @@ fn bench_matching_telemetry_overhead(c: &mut Criterion) {
         let mut found = 0u64;
         for q in &queries {
             probe.reset();
-            let hit = black_box(view.find_first_match_probed(q, &none, &mut probe));
+            let hit = black_box(view.find_first_match(q, &none, &mut probe));
             probe_h.record(probe.probe_ns);
             winner_h.record(probe.winner_ns);
             if hit.is_some() {

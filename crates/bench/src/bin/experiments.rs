@@ -360,7 +360,7 @@ fn fig17(lazy: &mut Lazy) {
 }
 
 fn ablation(_lazy: &mut Lazy) {
-    println!("\n== Ablation: repository lookup, sequential scan vs fingerprint index ==");
+    println!("\n== Ablation: repository lookup, sequential scan vs tip-signature index ==");
     println!("(both return identical matches; §3's scan is the paper's design)\n");
     let rows = matcher_ablation();
     let mut t = Table::new(&["Repo entries", "Scan (µs)", "Index (µs)", "Speedup", "Identical"]);

@@ -18,18 +18,19 @@
 //!    statistics enter the repository and the provenance table (§2.2),
 //!    and the §5 selection rules are applied.
 //!
-//! The repository and provenance table are published as **RCU
-//! snapshots** (see [`crate::rcu`] and [`crate::repository`]), and every
-//! public entry point takes `&self`, so **many threads can submit queries
-//! against one warmed repository**. The match path is entirely
-//! lock-free: each match attempt grabs the current repository snapshot
-//! and provenance snapshot once (lock-free loads) and works against
-//! them — candidate filtering, path resolution, and the scan budget all
-//! come from the snapshot — while reuse accounting (`use_count` /
-//! `last_used`) is carried by atomics shared across snapshots, so a
-//! match never takes a repository lock, let alone a write lock. Entry
+//! The repository and provenance table are published as **immutable
+//! snapshots** (see [`crate::repository`]), and every public entry
+//! point takes `&self`, so **many threads can submit queries against
+//! one warmed repository**. The match path never holds a lock while it
+//! works: each match attempt grabs the current repository snapshot and
+//! provenance snapshot once (a read lock held only to clone an `Arc`)
+//! and works against them — candidate filtering, path resolution, and
+//! the scan budget all come from the snapshot — while reuse accounting
+//! (`use_count` / `last_used`) is carried by atomics shared across
+//! snapshots, so recording a reuse never enters a writer section. Entry
 //! registration (batched per wave) and eviction sweeps serialize among
-//! themselves and publish new snapshots without ever blocking readers.
+//! themselves and publish new snapshots; a reader waits at most for the
+//! pointer swap of a publish.
 //! Job execution itself holds no lock at all, so long-running jobs never
 //! block matching in other sessions; outputs matched for reuse are
 //! pinned (see [`crate::pin`]) so a concurrent sweep cannot delete them
@@ -48,10 +49,10 @@ use crate::journal::{self, Journal, JournalConfig, JournalStats, Record, Recover
 use crate::obs::{Obs, ReuseDecision, ReuseTraceEvent, SpaceMetrics};
 use crate::pin::PinSet;
 use crate::provenance::Provenance;
-use crate::rcu::Rcu;
 use crate::repository::{MatchProbe, RepoBatch, RepoOp, RepoSnapshot, RepoStats, Repository};
 use crate::rewriter::{apply_aliases, identity_copy, rewrite};
 use crate::selector::SelectionPolicy;
+use crate::snapshot_cell::SnapshotCell;
 use parking_lot::{Mutex, RwLock};
 use restore_common::{Error, Result};
 use restore_dataflow::exec::{job_io, job_spec_for_plan};
@@ -99,7 +100,7 @@ pub struct ReStoreConfig {
     pub wave_parallel: bool,
     /// Number of repository shards per namespace (1 = the classic
     /// single-shard repository). Shards stripe entries by tip-signature
-    /// hash, each with its own RCU writer section and journal lane, so
+    /// hash, each with its own writer section and journal lane, so
     /// concurrent waves registering into different shards never
     /// contend; matching, sweeps, and checkpoints produce results
     /// byte-identical to one shard. The count takes effect when a
@@ -241,9 +242,9 @@ pub struct ReStore {
     /// Per-tenant namespaces, created lazily on first use. A tenant's
     /// matching, registration, and eviction sweeps only ever touch its
     /// own space, so tenants cannot observe (or delete) each other's
-    /// outputs. RCU-published like the tables themselves: lookups are
-    /// lock-free, creation (rare) publishes a new map.
-    tenants: Rcu<HashMap<String, Arc<Space>>>,
+    /// outputs. Snapshot-published like the tables themselves: lookups
+    /// clone the current map's `Arc`, creation (rare) publishes a new map.
+    tenants: SnapshotCell<HashMap<String, Arc<Space>>>,
     config: RwLock<ReStoreConfig>,
     /// Query counter = the logical clock for usage statistics. Shared by
     /// all tenants (one clock, many namespaces).
@@ -267,20 +268,21 @@ pub struct ReStore {
 /// provenance table, the pin set protecting its in-flight matches, and
 /// the tenant's policy override (`None` = follow the global default).
 ///
-/// Both tables are RCU-published: readers load snapshots lock-free,
-/// mutators serialize internally. When a mutation spans both tables
-/// (wave registration, overwrite invalidation, restore), the writer
-/// sides are entered **provenance first, repository second** —
-/// one fixed order, so cross-table writers can never deadlock.
+/// Both tables are snapshot-published: readers load snapshots without
+/// waiting on writers, mutators serialize internally. When a mutation
+/// spans both tables (wave registration, overwrite invalidation,
+/// restore), the writer sides are entered **provenance first,
+/// repository second** — one fixed order, so cross-table writers can
+/// never deadlock.
 #[derive(Debug, Default)]
 pub(crate) struct Space {
     pub(crate) repo: Repository,
-    pub(crate) prov: Rcu<Provenance>,
+    pub(crate) prov: SnapshotCell<Provenance>,
     pub(crate) pins: PinSet,
-    /// The tenant's policy override, RCU-published so the per-query
-    /// read on the execution path is lock-free like every other shared
-    /// map in the session.
-    pub(crate) config: Rcu<Option<ReStoreConfig>>,
+    /// The tenant's policy override, snapshot-published like every
+    /// other shared map in the session, so the per-query read on the
+    /// execution path never waits on a writer.
+    pub(crate) config: SnapshotCell<Option<ReStoreConfig>>,
     /// Per-namespace match metrics (hits/misses/latency/shard wins).
     /// Registered against the session registry for namespaces the
     /// driver creates; the detached placeholder `space_snapshot` hands
@@ -387,7 +389,7 @@ impl ReStore {
         ReStore {
             engine,
             space: Arc::new(Space::with_shards_registered(config.repo_shards, &obs.registry, "")),
-            tenants: Rcu::new(HashMap::new()),
+            tenants: SnapshotCell::new(HashMap::new()),
             config: RwLock::new(config),
             tick: AtomicU64::new(0),
             cand_counter: AtomicU64::new(0),
@@ -492,7 +494,7 @@ impl ReStore {
         let Some(t) = Self::normalize(tenant) else {
             return self.space.clone();
         };
-        // Lock-free fast path: the tenant already has a namespace.
+        // Fast path: the tenant already has a namespace.
         if let Some(s) = self.tenants.load().get(t) {
             return s.clone();
         }
@@ -562,7 +564,7 @@ impl ReStore {
     /// workflow's live output.
     fn invalidate_overwritten(&self, written: &[String]) {
         for (name, space) in self.all_spaces() {
-            // Cheap lock-free probe first: fresh output paths are almost
+            // Cheap snapshot probe first: fresh output paths are almost
             // never registered anywhere.
             let hit = {
                 let prov = space.prov.load();
@@ -613,14 +615,14 @@ impl ReStore {
     }
 
     /// The current snapshot of the default-namespace repository:
-    /// lock-free, immutable, safe to hold — later registrations and
+    /// immutable and safe to hold — later registrations and
     /// evictions publish new snapshots and never mutate this one.
     pub fn repository(&self) -> Arc<RepoSnapshot> {
         self.space.repo.snapshot()
     }
 
     /// Run `f` against a tenant's repository (`None` = the default
-    /// namespace). The handle's read methods are lock-free.
+    /// namespace). The handle's read methods take no writer lock.
     pub fn with_repository_as<R>(
         &self,
         tenant: Option<&str>,
@@ -793,7 +795,7 @@ impl ReStore {
         let name = Self::normalize(tenant).unwrap_or("");
         let space = self.space_for(tenant);
         // Effective policy read before taking the queue lock (the
-        // config load is lock-free; no lock-order edge is created).
+        // config load takes no writer lock; no lock-order edge is created).
         let policy = (*space.config.load()).clone().unwrap_or_else(|| self.config()).failure;
         let mut q = space.dlq.lock();
         let entry = crate::dlq::DlqEntry {
@@ -1225,9 +1227,9 @@ impl ReStore {
 
     /// The §3 scan: repeatedly lineage-expand the plan, take the first
     /// repository match that makes structural progress, and rewrite.
-    /// Entirely lock-free: each iteration loads the current repository
-    /// and provenance snapshots (lock-free), and reuse statistics are
-    /// recorded through the entries' shared atomics; `on_match` runs
+    /// Each iteration loads the current repository and provenance
+    /// snapshots and holds no lock while matching, and reuse statistics
+    /// are recorded through the entries' shared atomics; `on_match` runs
     /// after each applied rewrite. With `pins` present (a real
     /// execution, not a dry run), the reused output is pinned against
     /// concurrent eviction until the workflow finishes.
@@ -1273,12 +1275,15 @@ impl ReStore {
         let mut probe = MatchProbe::default();
         for _ in 0..budget {
             let snapshot_t0 = Instant::now();
-            let expanded =
-                cached_expansion.take().unwrap_or_else(|| space.prov.load().expand(plan));
+            let prov = space.prov.load();
             let snap = space.repo.view();
             self.obs.match_stage.snapshot_load.record_elapsed(snapshot_t0);
+            let expanded = match cached_expansion.take() {
+                Some(e) => e,
+                None => self.obs.match_stage.lineage_expand.time(|| prov.expand(plan)),
+            };
             probe.reset();
-            let found = snap.find_first_match_probed(&expanded.plan, &unproductive, &mut probe);
+            let found = snap.find_first_match(&expanded.plan, &unproductive, &mut probe);
             self.obs.match_stage.index_probe.record(probe.probe_ns);
             self.obs.match_stage.winner_pass.record(probe.winner_ns);
             for c in probe.candidates.iter().filter(|c| !c.matched) {

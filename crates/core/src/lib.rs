@@ -31,11 +31,11 @@ pub mod obs;
 pub mod pin;
 pub mod plan_text;
 pub mod provenance;
-pub mod rcu;
 pub mod replication;
 pub mod repository;
 pub mod rewriter;
 pub mod selector;
+mod snapshot_cell;
 mod state;
 
 pub use dlq::DlqEntry;
@@ -46,12 +46,11 @@ pub use journal::{JournalConfig, JournalStats, RecoveryReport, TornTail};
 pub use obs::{ReuseDecision, ReuseTraceEvent};
 pub use pin::PinSet;
 pub use provenance::Provenance;
-pub use rcu::Rcu;
 pub use replication::{
     InProcessLink, ReplicaSession, ReplicationError, ReplicationTransport, Replicator, Shipment,
 };
 pub use repository::{
-    normalize_shards, FrozenRepo, MatchProbe, ProbedCandidate, RepoBatch, RepoEntry, RepoSnapshot,
-    RepoStats, RepoView, Repository, MAX_REPO_SHARDS,
+    normalize_shards, MatchProbe, ProbedCandidate, RepoBatch, RepoEntry, RepoSnapshot, RepoStats,
+    RepoView, Repository, MAX_REPO_SHARDS,
 };
 pub use selector::SelectionPolicy;

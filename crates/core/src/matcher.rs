@@ -19,7 +19,9 @@
 //! match *positionally*, because join keys are per-position).
 
 use restore_dataflow::physical::{NodeId, PhysicalOp, PhysicalPlan};
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 
 /// Result of a successful containment test.
 #[derive(Debug, Clone)]
@@ -134,6 +136,40 @@ pub fn pairwise_plan_traversal(
         }
     }
     None
+}
+
+/// Per-node signatures under the traversal's own equivalence, indexed
+/// by [`NodeId::index`]: the Merkle hash of a node's operator (Store
+/// paths ignored) and its inputs' signatures, with `Split` tees
+/// transparent — a Split carries its input's signature. Two nodes
+/// [`pairwise_plan_traversal`] can pair therefore always carry equal
+/// signatures, which is what lets the repository index entries by the
+/// signature of their tip. One memoized pass over the plan.
+pub fn match_signatures(plan: &PhysicalPlan) -> Vec<u64> {
+    let mut memo = vec![None; plan.len()];
+    plan.ids().map(|id| match_signature(plan, id, &mut memo)).collect()
+}
+
+fn match_signature(plan: &PhysicalPlan, id: NodeId, memo: &mut [Option<u64>]) -> u64 {
+    if let Some(sig) = memo[id.index()] {
+        return sig;
+    }
+    let sig = match plan.op(id) {
+        PhysicalOp::Split => match_signature(plan, plan.inputs(id)[0], memo),
+        op => {
+            let mut h = DefaultHasher::new();
+            match op {
+                PhysicalOp::Store { .. } => "Store".hash(&mut h),
+                other => other.hash(&mut h),
+            }
+            for &i in plan.inputs(id) {
+                match_signature(plan, i, memo).hash(&mut h);
+            }
+            h.finish()
+        }
+    };
+    memo[id.index()] = Some(sig);
+    sig
 }
 
 /// Subsumption test for repository ordering (§3, rule 1): plan `a`

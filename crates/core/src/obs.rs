@@ -3,8 +3,8 @@
 //!
 //! Everything here is recorded through `restore-telemetry` primitives
 //! whose hot-path record is a relaxed `fetch_add` — instrumenting the
-//! §3 match loop does not add a lock, a CAS loop, or an RCU publish to
-//! it (`prop_concurrent_repo` and the driver telemetry test pin the
+//! §3 match loop does not add a lock, a CAS loop, or a snapshot publish
+//! to it (`prop_concurrent_repo` and the driver telemetry test pin the
 //! zero-publish invariant with telemetry enabled).
 
 use restore_telemetry::{Counter, Histogram, Registry, TraceRing};
@@ -32,8 +32,8 @@ pub enum ReuseDecision {
     /// The entry vanished between match and pin — a concurrent §5
     /// sweep evicted it; the loop unpinned and rescanned.
     RejectedPinRevalidation { entry_id: u64 },
-    /// No candidate survived: every input-plan tip signature missed
-    /// the inverted index (or the sequential scan found nothing).
+    /// No candidate survived: every input-plan node signature probed
+    /// against the tip-signature index missed or failed verification.
     NoCandidates { signatures_probed: usize },
 }
 
@@ -105,8 +105,11 @@ pub(crate) struct StageHists {
 
 /// Span histograms inside one §3 match iteration.
 pub(crate) struct MatchStageHists {
-    /// Provenance lineage expansion + repository snapshot load.
+    /// Provenance and repository snapshot loads.
     pub snapshot_load: Histogram,
+    /// Provenance lineage expansion of the plan being matched (skipped
+    /// when an unproductive rescan reuses the previous expansion).
+    pub lineage_expand: Histogram,
     /// Inverted tip-signature index probe + candidate verification.
     pub index_probe: Histogram,
     /// Cross-shard pairwise §3 winner pass.
@@ -164,6 +167,7 @@ impl Obs {
             },
             match_stage: MatchStageHists {
                 snapshot_load: match_hist("snapshot_load"),
+                lineage_expand: match_hist("lineage_expand"),
                 index_probe: match_hist("index_probe"),
                 winner_pass: match_hist("winner_pass"),
                 pin_revalidate: match_hist("pin_revalidate"),

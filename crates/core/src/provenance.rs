@@ -14,7 +14,7 @@ use std::sync::Arc;
 /// Path → base-level single-Store plan that produced it.
 ///
 /// Plans are held behind `Arc`s so cloning the whole table — which the
-/// driver's RCU publication does on every mutation — copies pointers,
+/// driver's snapshot publication does on every mutation — copies pointers,
 /// not plans.
 #[derive(Debug, Clone, Default)]
 pub struct Provenance {

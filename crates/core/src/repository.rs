@@ -11,45 +11,57 @@
 //! incomparable plans, higher input/output reduction ratio, then longer
 //! job execution time, win.
 //!
-//! # Concurrency: RCU snapshots
+//! # Concurrency: published snapshots
 //!
 //! The repository is the hottest shared structure in a multi-session
 //! deployment, and its read/write mix is extreme: every job of every
 //! workflow matches against it (reads), while only executed waves and
-//! eviction sweeps mutate it. It is therefore published as immutable
-//! [`RepoSnapshot`]s through an [`Rcu`](crate::rcu::Rcu) cell:
+//! eviction sweeps mutate it. Each shard is therefore published as an
+//! immutable [`RepoSnapshot`] through a snapshot cell: an
+//! `RwLock<Arc<RepoSnapshot>>` plus a separate writer mutex.
 //!
-//! * **readers** ([`Repository::snapshot`]) get the current snapshot
-//!   lock-free — no lock, no contention with mutations — and match,
-//!   resolve paths, and read statistics entirely from it;
+//! * **readers** ([`Repository::view`]) take each shard's read lock
+//!   only long enough to clone its `Arc`, then match, resolve paths,
+//!   and read statistics from the snapshots without holding anything;
 //! * **writers** ([`Repository::insert`], [`Repository::evict`],
-//!   [`Repository::batch`]) clone the snapshot, mutate the clone, and
-//!   publish it; concurrent readers keep their old snapshot;
+//!   [`Repository::batch`]) serialize on the writer mutex, clone the
+//!   snapshot, mutate the clone, and swap it in under a brief write
+//!   lock; readers keep the snapshot they already hold;
 //! * **reuse accounting** ([`Repository::note_use`]) touches neither
 //!   side: `use_count`/`last_used` live in atomics shared by every
 //!   snapshot that contains the entry, so recording a reuse is a pair
 //!   of atomic RMWs — no snapshot is rebuilt and no writer is blocked.
 //!
-//! Inside a snapshot, lookups that the locked design recomputed per
-//! call are precomputed at publish time: an id → position map (O(1)
-//! [`RepoSnapshot::get`]), a cached tip signature per entry, an inverted
-//! tip-signature → candidates multimap (the `find_first_match_indexed`
-//! pre-filter runs in O(1) per input node instead of O(entries)), and a
-//! running `stored_bytes` total maintained on insert/evict instead of
-//! re-summed per call. The paper's sequential scan
-//! ([`RepoSnapshot::find_first_match_scan`]) remains the verification /
-//! ablation path; both return byte-identical results because indexed
-//! candidates are verified with the full traversal in repository order.
+//! # Matching
+//!
+//! Inside a snapshot, lookups are precomputed at publish time: an
+//! id → position map (O(1) [`RepoSnapshot::get`]), a cached tip
+//! signature per entry, an inverted tip-signature → positions index,
+//! and a running `stored_bytes` total maintained on insert/evict.
+//!
+//! There is one matcher, [`RepoView::find_first_match`]. An entry can
+//! only match when its tip signature equals the signature of some node
+//! of the query plan — both are match signatures
+//! ([`match_signatures`]), which see `Split` tees the way the §3
+//! traversal does — and that signature also picks the one shard that
+//! could hold the entry, so each query node costs one index probe.
+//! Candidates are verified with the full §3 traversal in repository
+//! order; each shard contributes its first verifier and the §3 ordering
+//! rules pick the winner among them. The paper's sequential scan
+//! survives as [`RepoView::scan_first_match`], the reference the
+//! matcher is tested against and the scan arm of the matcher ablation;
+//! both return the same entry and match tip.
 
-use crate::matcher::{pairwise_plan_traversal, plan_tip, subsumes, PlanMatch};
+use crate::matcher::{match_signatures, pairwise_plan_traversal, plan_tip, subsumes, PlanMatch};
 use crate::plan_text;
-use crate::rcu::{Rcu, RcuWriter};
+use crate::snapshot_cell::{SnapshotCell, SnapshotWriter};
 use parking_lot::{Mutex, RwLock};
 use restore_common::{Error, Result};
 use restore_dataflow::physical::PhysicalPlan;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed, Ordering::SeqCst};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Execution statistics of a stored job output (§2.2, §5).
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -103,9 +115,10 @@ pub struct RepoEntry {
     pub plan: PhysicalPlan,
     /// Merkle signature of `plan` (Store paths excluded).
     pub signature: u64,
-    /// Cached signature of the operator feeding the plan's Store (`None`
-    /// for degenerate multi-Store plans). Computed once at insertion;
-    /// the fingerprint index keys candidates by it.
+    /// Cached match signature (see [`match_signatures`]) of the operator
+    /// feeding the plan's Store (`None` for degenerate multi-Store
+    /// plans). Computed once at insertion; the tip-signature index keys
+    /// candidates by it and it picks the entry's shard.
     pub tip_signature: Option<u64>,
     /// Where the output lives in the DFS.
     pub output_path: String,
@@ -119,7 +132,7 @@ pub struct RepoEntry {
 impl RepoEntry {
     fn new(id: u64, plan: PhysicalPlan, output_path: String, stats: RepoStats) -> RepoEntry {
         let signature = plan.signature();
-        let tip_signature = plan_tip(&plan).map(|t| plan.node_signature(t));
+        let tip_signature = tip_signature(&plan);
         let usage = Arc::new(Usage {
             count: AtomicU64::new(stats.use_count),
             last_used: AtomicU64::new(stats.last_used),
@@ -165,9 +178,9 @@ pub enum InsertOutcome {
     Duplicate(u64),
 }
 
-/// One immutable published state of the repository. Matching, path
+/// One immutable published state of a repository shard. Matching, path
 /// resolution, statistics, and serialization all run against a snapshot
-/// without ever touching a lock; see the module docs.
+/// without holding a lock; see the module docs.
 #[derive(Debug, Clone, Default)]
 pub struct RepoSnapshot {
     /// Entries in match-priority order.
@@ -177,15 +190,11 @@ pub struct RepoSnapshot {
     /// plan signature → entry id (deduplication).
     by_signature: HashMap<u64, u64>,
     /// tip signature → positions (ascending) of entries carrying it —
-    /// the inverted index behind `find_first_match_indexed`.
+    /// the inverted index behind [`RepoView::find_first_match`].
     tip_index: HashMap<u64, Vec<usize>>,
     /// Running total of `output_bytes`, maintained on insert/evict
     /// instead of summed per call.
     stored_bytes: u64,
-    /// Serve matches through the fingerprint index instead of the
-    /// paper's sequential scan. Results are identical; speed differs
-    /// (see the `bench_matching` ablation).
-    indexed: bool,
 }
 
 impl RepoSnapshot {
@@ -223,84 +232,7 @@ impl RepoSnapshot {
         self.stored_bytes
     }
 
-    /// Is this snapshot serving matches through the fingerprint index?
-    pub fn is_indexed(&self) -> bool {
-        self.indexed
-    }
-
-    /// §3: return the first entry (in repository order) whose plan is
-    /// contained in `input_plan`, with the match. Dispatches to the
-    /// configured lookup strategy; both produce identical results.
-    pub fn find_first_match(&self, input_plan: &PhysicalPlan) -> Option<(u64, PlanMatch)> {
-        self.find_first_match_excluding(input_plan, &HashSet::new())
-    }
-
-    /// Like [`RepoSnapshot::find_first_match`] but skipping the listed
-    /// entries. The driver excludes entries whose rewrite made no
-    /// structural progress (e.g. an entry matching only its own lineage
-    /// expansion) and rescans for the next-best match.
-    pub fn find_first_match_excluding(
-        &self,
-        input_plan: &PhysicalPlan,
-        exclude: &HashSet<u64>,
-    ) -> Option<(u64, PlanMatch)> {
-        if self.indexed {
-            self.find_first_match_indexed(input_plan, exclude)
-        } else {
-            self.find_first_match_scan(input_plan, exclude)
-        }
-    }
-
-    /// The paper's sequential scan: try every entry in repository order.
-    /// Kept as the verification / ablation baseline.
-    pub fn find_first_match_scan(
-        &self,
-        input_plan: &PhysicalPlan,
-        exclude: &HashSet<u64>,
-    ) -> Option<(u64, PlanMatch)> {
-        for e in &self.entries {
-            if exclude.contains(&e.id) {
-                continue;
-            }
-            if let Some(m) = pairwise_plan_traversal(&e.plan, input_plan) {
-                return Some((e.id, m));
-            }
-        }
-        None
-    }
-
-    /// Fingerprint-index variant: an entry can only match when its
-    /// cached tip signature equals the signature of some node of the
-    /// input plan, so candidates come from the inverted tip-signature
-    /// index in O(1) per input node. Candidates are verified with the
-    /// full traversal in ascending repository order — identical results
-    /// to the sequential scan, sub-linear candidate filtering.
-    pub fn find_first_match_indexed(
-        &self,
-        input_plan: &PhysicalPlan,
-        exclude: &HashSet<u64>,
-    ) -> Option<(u64, PlanMatch)> {
-        let mut candidates: Vec<usize> = Vec::new();
-        for id in input_plan.ids() {
-            if let Some(positions) = self.tip_index.get(&input_plan.node_signature(id)) {
-                candidates.extend_from_slice(positions);
-            }
-        }
-        candidates.sort_unstable();
-        candidates.dedup();
-        for pos in candidates {
-            let e = &self.entries[pos];
-            if exclude.contains(&e.id) {
-                continue;
-            }
-            if let Some(m) = pairwise_plan_traversal(&e.plan, input_plan) {
-                return Some((e.id, m));
-            }
-        }
-        None
-    }
-
-    // ---- mutation internals (called with the Rcu writer serialized) ----
+    // ---- mutation internals (called inside the shard's writer section) ----
 
     /// Rebuild the position-dependent indexes after a structural change.
     fn reindex(&mut self) {
@@ -563,6 +495,11 @@ pub fn normalize_shards(n: usize) -> usize {
     n.clamp(1, MAX_REPO_SHARDS)
 }
 
+/// The match signature of a plan's tip (see [`RepoEntry::tip_signature`]).
+fn tip_signature(plan: &PhysicalPlan) -> Option<u64> {
+    plan_tip(plan).map(|t| match_signatures(plan)[t.index()])
+}
+
 /// The shard owning a tip signature. The Merkle hash is run through a
 /// splitmix64-style finalizer before the modulo: raw signatures of
 /// structurally similar plans can share low bits (observed in practice
@@ -597,18 +534,18 @@ impl std::fmt::Debug for SinkCell {
 
 /// The ordered, concurrently shared repository.
 ///
-/// All methods take `&self`: reads are lock-free against the current
-/// [`RepoSnapshot`], mutations serialize internally and publish a new
+/// All methods take `&self`: reads work on the current published
+/// [`RepoSnapshot`]s, mutations serialize internally and publish a new
 /// snapshot (see the module docs). For several mutations that must land
 /// atomically — a wave's registrations, an eviction sweep — use
 /// [`Repository::batch`], which publishes once.
 #[derive(Debug)]
 pub struct Repository {
-    /// The striped store: one independently published RCU cell per
+    /// The striped store: one independently published snapshot cell per
     /// shard, keyed by tip-signature hash (see [`shard_index`]). One
     /// shard (the default) is exactly the pre-sharding repository;
     /// writers into different shards never contend.
-    shards: Vec<Rcu<RepoSnapshot>>,
+    shards: Vec<SnapshotCell<RepoSnapshot>>,
     /// Globally ordered id allocation across every shard.
     next_id: AtomicU64,
     /// Journal sink for structural mutations (see [`RepoSink`]).
@@ -645,7 +582,7 @@ impl Repository {
     pub fn with_shards(shards: usize) -> Self {
         let n = normalize_shards(shards);
         Repository {
-            shards: (0..n).map(|_| Rcu::default()).collect(),
+            shards: (0..n).map(|_| SnapshotCell::default()).collect(),
             next_id: AtomicU64::new(0),
             sink: SinkCell::default(),
             track_usage: AtomicBool::new(false),
@@ -660,19 +597,17 @@ impl Repository {
     }
 
     /// The current published snapshot. With one shard (the default)
-    /// this is the shard's snapshot — lock-free, zero-copy, exactly the
-    /// pre-sharding behavior. With several shards it **materializes** a
-    /// merged snapshot (entries concatenated in shard order, indexes
-    /// rebuilt): convenient for introspection, stats, and persistence,
-    /// but O(entries) per call — hot paths should use
-    /// [`Repository::view`], which is lock-free per shard and
-    /// copy-free.
+    /// this is the shard's snapshot, zero-copy. With several shards it
+    /// **materializes** a merged snapshot (entries concatenated in shard
+    /// order, indexes rebuilt): convenient for introspection, stats,
+    /// and persistence, but O(entries) per call — hot paths should use
+    /// [`Repository::view`], which is one `Arc` clone per shard.
     pub fn snapshot(&self) -> Arc<RepoSnapshot> {
         if self.shards.len() == 1 {
             return self.shards[0].load();
         }
         let view = self.view();
-        let mut snap = RepoSnapshot { indexed: view.is_indexed(), ..Default::default() };
+        let mut snap = RepoSnapshot::default();
         for s in view.shards() {
             snap.stored_bytes += s.stored_bytes;
             for e in &s.entries {
@@ -684,8 +619,8 @@ impl Repository {
         Arc::new(snap)
     }
 
-    /// A coherent multi-shard read view: one lock-free snapshot load
-    /// per shard, no copying. Matching, path resolution, and statistics
+    /// A coherent multi-shard read view: one snapshot load per shard,
+    /// no copying. Matching, path resolution, and statistics
     /// against a view see each shard frozen at its load; cross-shard
     /// skew is benign for the same reason concurrent eviction is — the
     /// match loop revalidates against fresh state after pinning.
@@ -728,28 +663,12 @@ impl Repository {
     /// Does any entry already compute this plan? Probes exactly the
     /// owning shard (the plan's tip signature picks it).
     pub fn contains_plan(&self, plan: &PhysicalPlan) -> Option<u64> {
-        let tip = plan_tip(plan).map(|t| plan.node_signature(t));
-        self.shards[shard_index(tip, self.shards.len())].load().contains_plan(plan)
+        self.shards[shard_index(tip_signature(plan), self.shards.len())].load().contains_plan(plan)
     }
 
     /// Total bytes of stored outputs (running counters, summed).
     pub fn stored_bytes(&self) -> u64 {
         self.shards.iter().map(|s| s.load().stored_bytes()).sum()
-    }
-
-    /// Route matches through the fingerprint index (`true`) or the
-    /// paper's sequential scan (`false`, the default). Published with
-    /// each shard's snapshot, so in-flight readers keep the strategy
-    /// they started with.
-    pub fn set_fingerprint_index(&self, indexed: bool) {
-        for s in &self.shards {
-            s.update(|snap| snap.indexed = indexed);
-        }
-    }
-
-    /// Is the fingerprint index active?
-    pub fn use_fingerprint_index(&self) -> bool {
-        self.shards[0].load().indexed
     }
 
     /// Insert an entry, maintaining the §3 ordering rules. Deduplicates
@@ -771,7 +690,7 @@ impl Repository {
         let sidx = shard_index(entry.tip_signature, self.shards.len());
         let w = self.shards[sidx].writer();
         self.writer_sections.fetch_add(1, Relaxed);
-        let mut next = w.current().clone();
+        let mut next = RepoSnapshot::clone(w.current());
         let (outcome, stored) = next.do_insert(entry);
         if matches!(outcome, InsertOutcome::Inserted(_)) {
             next.reindex();
@@ -788,13 +707,14 @@ impl Repository {
         outcome
     }
 
-    /// Record a reuse of entry `id` at logical time `tick`. Entirely
-    /// atomic: no lock is taken and no snapshot is republished, so a
-    /// match never blocks or is blocked by registration. With usage
-    /// tracking on (incremental snapshots), the *first* reuse after a
-    /// delta capture additionally enrolls the id in the dirty set — an
-    /// uncontended mutex push amortized over the checkpoint interval;
-    /// every further reuse of the entry stays lock-free.
+    /// Record a reuse of entry `id` at logical time `tick`. The entry
+    /// is found through the shards' current snapshots and its shared
+    /// counters are bumped atomically: no writer section is entered and
+    /// no snapshot is republished, so a match never blocks or is
+    /// blocked by registration. With usage tracking on (incremental
+    /// snapshots), the *first* reuse after a delta capture additionally
+    /// enrolls the id in the dirty set — an uncontended mutex push
+    /// amortized over the checkpoint interval.
     pub fn note_use(&self, id: u64, tick: u64) {
         if let Some(e) = self.shards.iter().find_map(|s| s.load().get(id).cloned()) {
             e.note_use(tick);
@@ -852,7 +772,7 @@ impl Repository {
     }
 
     /// Remove an entry, returning it. Like [`Repository::insert`], only
-    /// the owning shard's writer section is taken: a lock-free probe
+    /// the owning shard's writer section is taken: a snapshot probe
     /// locates the shard holding the id, then the removal re-checks
     /// under that shard's writer (the entry may have been evicted by a
     /// racing sweep in between — ids never move across shards, so the
@@ -861,7 +781,7 @@ impl Repository {
         let sidx = self.shards.iter().position(|s| s.load().contains_id(id))?;
         let w = self.shards[sidx].writer();
         self.writer_sections.fetch_add(1, Relaxed);
-        let mut next = w.current().clone();
+        let mut next = RepoSnapshot::clone(w.current());
         let e = next.do_evict(id)?;
         next.reindex();
         w.publish(next);
@@ -901,10 +821,11 @@ impl Repository {
         // order used by all multi-shard paths (batch, freeze, adopt),
         // which is what makes them deadlock-free against each other and
         // against the single-shard fast paths.
-        let writers: Vec<RcuWriter<'_, RepoSnapshot>> =
+        let writers: Vec<SnapshotWriter<'_, RepoSnapshot>> =
             self.shards.iter().map(|s| s.writer()).collect();
         self.writer_sections.fetch_add(n as u64, Relaxed);
-        let mut works: Vec<RepoSnapshot> = writers.iter().map(|w| w.current().clone()).collect();
+        let mut works: Vec<RepoSnapshot> =
+            writers.iter().map(|w| RepoSnapshot::clone(w.current())).collect();
         let (a, dirty, ops) = {
             let mut b = RepoBatch {
                 shards: &mut works,
@@ -950,12 +871,11 @@ impl Repository {
     /// is a consistent cross-shard cut. `save_state` uses this to
     /// capture multi-table state no sweep can interleave with; plain
     /// readers should use [`Repository::view`] instead.
-    pub fn freeze<R>(&self, f: impl FnOnce(&FrozenRepo<'_>) -> R) -> R {
-        let writers: Vec<RcuWriter<'_, RepoSnapshot>> =
+    pub fn freeze<R>(&self, f: impl FnOnce(&RepoView) -> R) -> R {
+        let writers: Vec<SnapshotWriter<'_, RepoSnapshot>> =
             self.shards.iter().map(|s| s.writer()).collect();
         self.writer_sections.fetch_add(writers.len() as u64, Relaxed);
-        let frozen = FrozenRepo { shards: writers.iter().map(|w| w.current()).collect() };
-        f(&frozen)
+        f(&RepoView { shards: writers.iter().map(|w| w.current().clone()).collect() })
     }
 
     /// Replace this repository's contents with `other`'s (state
@@ -971,10 +891,9 @@ impl Repository {
         let next = other.next_id.load(SeqCst);
         let view = other.view();
         let n = self.shards.len();
-        let writers: Vec<RcuWriter<'_, RepoSnapshot>> =
+        let writers: Vec<SnapshotWriter<'_, RepoSnapshot>> =
             self.shards.iter().map(|s| s.writer()).collect();
         self.writer_sections.fetch_add(n as u64, Relaxed);
-        let indexed = view.is_indexed();
         let mut parts: Vec<Vec<Arc<RepoEntry>>> = vec![Vec::new(); n];
         for snap in view.shards() {
             for e in &snap.entries {
@@ -982,27 +901,9 @@ impl Repository {
             }
         }
         for (w, part) in writers.iter().zip(parts) {
-            let mut snap = build_shard_snapshot(part);
-            snap.indexed = indexed;
-            w.publish(snap);
+            w.publish(build_shard_snapshot(part));
         }
         self.next_id.store(next, SeqCst);
-    }
-
-    /// §3 first-match against the current state. Prefer taking a
-    /// [`Repository::view`] explicitly when issuing several lookups
-    /// that must agree.
-    pub fn find_first_match(&self, input_plan: &PhysicalPlan) -> Option<(u64, PlanMatch)> {
-        self.view().find_first_match(input_plan)
-    }
-
-    /// See [`RepoView::find_first_match_excluding`].
-    pub fn find_first_match_excluding(
-        &self,
-        input_plan: &PhysicalPlan,
-        exclude: &HashSet<u64>,
-    ) -> Option<(u64, PlanMatch)> {
-        self.view().find_first_match_excluding(input_plan, exclude)
     }
 
     // ---- persistence ----
@@ -1042,8 +943,8 @@ impl Repository {
     /// Build a repository whose shard `i` holds exactly `parts[i]`, in
     /// the given order.
     fn from_shard_parts(parts: Vec<Vec<Arc<RepoEntry>>>, next_id: u64) -> Repository {
-        let shards: Vec<Rcu<RepoSnapshot>> =
-            parts.into_iter().map(|part| Rcu::new(build_shard_snapshot(part))).collect();
+        let shards: Vec<SnapshotCell<RepoSnapshot>> =
+            parts.into_iter().map(|part| SnapshotCell::new(build_shard_snapshot(part))).collect();
         Repository {
             shards,
             next_id: AtomicU64::new(next_id),
@@ -1163,26 +1064,19 @@ fn shard_winner(
     best.map(|(id, m, _, shard)| (id, m, shard))
 }
 
-/// What one instrumented match probe observed (see
-/// [`RepoView::find_first_match_probed`]). Timings are nanoseconds.
+/// What one match observed (see [`RepoView::find_first_match`]).
+/// Timings are nanoseconds.
 #[derive(Debug, Default, Clone)]
 pub struct MatchProbe {
-    /// The fingerprint index was used (vs the sequential-scan
-    /// ablation).
-    pub indexed: bool,
     /// Candidate filtering + pairwise §3 verification time.
     pub probe_ns: u64,
     /// Cross-shard winner-pass time.
     pub winner_ns: u64,
     /// Shard the winning entry lives in, when a match was found.
     pub winner_shard: Option<usize>,
-    /// Input-plan node signatures probed against the inverted index
-    /// (0 on the scan path, which does not probe signatures).
+    /// Input-plan node signatures probed against the inverted index.
     pub signatures_probed: usize,
-    /// Candidates whose pairwise traversal ran, in probe order. The
-    /// scan path records only per-shard winners (enumerating every
-    /// scanned entry would be the trace-ring equivalent of a table
-    /// scan).
+    /// Candidates whose pairwise traversal ran, in probe order.
     pub candidates: Vec<ProbedCandidate>,
 }
 
@@ -1191,7 +1085,6 @@ impl MatchProbe {
     /// keeping the `candidates` allocation — the hot path records into
     /// one probe per job instead of allocating per iteration.
     pub fn reset(&mut self) {
-        self.indexed = false;
         self.probe_ns = 0;
         self.winner_ns = 0;
         self.winner_shard = None;
@@ -1210,10 +1103,9 @@ pub struct ProbedCandidate {
     pub matched: bool,
 }
 
-/// A coherent lock-free read view over every shard (see
-/// [`Repository::view`]). Mirrors [`RepoSnapshot`]'s read surface;
-/// with one shard every method delegates to the shard's snapshot, so
-/// results are exactly the single-shard repository's.
+/// A coherent read view over every shard (see [`Repository::view`]):
+/// one snapshot per shard, held without a lock. Mirrors
+/// [`RepoSnapshot`]'s read surface and carries the matcher.
 #[derive(Debug, Clone)]
 pub struct RepoView {
     shards: Vec<Arc<RepoSnapshot>>,
@@ -1254,76 +1146,44 @@ impl RepoView {
     /// Does any entry already compute this plan? Probes exactly the
     /// owning shard.
     pub fn contains_plan(&self, plan: &PhysicalPlan) -> Option<u64> {
-        let tip = plan_tip(plan).map(|t| plan.node_signature(t));
-        self.shards[shard_index(tip, self.shards.len())].contains_plan(plan)
+        self.shards[shard_index(tip_signature(plan), self.shards.len())].contains_plan(plan)
     }
 
     pub fn stored_bytes(&self) -> u64 {
         self.shards.iter().map(|s| s.stored_bytes()).sum()
     }
 
-    pub fn is_indexed(&self) -> bool {
-        self.shards[0].indexed
-    }
-
-    /// §3 first match across every shard; see
-    /// [`RepoView::find_first_match_excluding`].
-    pub fn find_first_match(&self, input_plan: &PhysicalPlan) -> Option<(u64, PlanMatch)> {
-        self.find_first_match_excluding(input_plan, &HashSet::new())
-    }
-
-    /// §3 first match: each shard contributes its own first verifying
-    /// entry (in that shard's match-priority order), then the winner is
-    /// picked by the ordering rules themselves (see [`shard_winner`]).
-    /// With one shard this is byte-identical to
-    /// [`RepoSnapshot::find_first_match_excluding`].
-    pub fn find_first_match_excluding(
+    /// §3 first match across every shard, skipping the `exclude`d
+    /// entries (the driver excludes entries whose rewrite made no
+    /// structural progress and rescans for the next-best match).
+    ///
+    /// An entry can only match when its cached tip signature equals the
+    /// match signature of some input-plan node (see
+    /// [`match_signatures`]), and that signature also picks the one
+    /// shard that could own such an entry — so each input node
+    /// costs one probe of one shard's inverted index. Each shard's
+    /// candidates are verified with the full traversal in ascending
+    /// repository order, the shard's first verifier is its candidate,
+    /// and the winner is picked by the ordering rules themselves (see
+    /// [`shard_winner`]). Results equal
+    /// [`RepoView::scan_first_match`]'s.
+    ///
+    /// `probe` receives per-stage timings and the candidate-by-candidate
+    /// record the reuse-decision trace is built from; it costs a few
+    /// `Instant` reads and a reused vector, never a lock or a publish.
+    /// Callers reusing one probe across calls [`MatchProbe::reset`] it
+    /// in between.
+    pub fn find_first_match(
         &self,
         input_plan: &PhysicalPlan,
         exclude: &HashSet<u64>,
-    ) -> Option<(u64, PlanMatch)> {
-        if self.is_indexed() {
-            self.find_first_match_indexed(input_plan, exclude)
-        } else {
-            self.find_first_match_scan(input_plan, exclude)
-        }
-    }
-
-    /// Sequential-scan strategy over the view (per-shard scan, then
-    /// winner pick).
-    pub fn find_first_match_scan(
-        &self,
-        input_plan: &PhysicalPlan,
-        exclude: &HashSet<u64>,
-    ) -> Option<(u64, PlanMatch)> {
-        if self.shards.len() == 1 {
-            return self.shards[0].find_first_match_scan(input_plan, exclude);
-        }
-        let mut cands = Vec::new();
-        for (i, s) in self.shards.iter().enumerate() {
-            if let Some((id, m)) = s.find_first_match_scan(input_plan, exclude) {
-                cands.push((id, m, s.get(id).expect("matched entry").clone(), i));
-            }
-        }
-        shard_winner(cands).map(|(id, m, _)| (id, m))
-    }
-
-    /// Fingerprint-index strategy over the view. Each candidate lookup
-    /// probes **exactly one shard**: the tip signature of the query
-    /// node picks the shard that could own matching entries, so the
-    /// other shards' indexes are never touched.
-    pub fn find_first_match_indexed(
-        &self,
-        input_plan: &PhysicalPlan,
-        exclude: &HashSet<u64>,
+        probe: &mut MatchProbe,
     ) -> Option<(u64, PlanMatch)> {
         let n = self.shards.len();
-        if n == 1 {
-            return self.shards[0].find_first_match_indexed(input_plan, exclude);
-        }
+        let t0 = Instant::now();
         let mut per_shard: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for id in input_plan.ids() {
-            let sig = input_plan.node_signature(id);
+        for sig in match_signatures(input_plan) {
+            probe.signatures_probed += 1;
             let s = shard_index(Some(sig), n);
             if let Some(positions) = self.shards[s].tip_index.get(&sig) {
                 per_shard[s].extend_from_slice(positions);
@@ -1338,138 +1198,44 @@ impl RepoView {
                 if exclude.contains(&e.id) {
                     continue;
                 }
-                if let Some(m) = pairwise_plan_traversal(&e.plan, input_plan) {
+                let matched = pairwise_plan_traversal(&e.plan, input_plan);
+                probe.candidates.push(ProbedCandidate {
+                    entry_id: e.id,
+                    shard: s,
+                    matched: matched.is_some(),
+                });
+                if let Some(m) = matched {
                     cands.push((e.id, m, e.clone(), s));
                     break;
                 }
             }
         }
-        shard_winner(cands).map(|(id, m, _)| (id, m))
-    }
-
-    /// [`RepoView::find_first_match_excluding`] with instrumentation:
-    /// identical match results (the parity property test pins this),
-    /// plus per-stage timings and the candidate-by-candidate record the
-    /// reuse-decision trace is built from. This is the variant the
-    /// driver's match loop runs — the probe costs two `Instant` reads
-    /// and a small vector, never a lock or a publish.
-    pub fn find_first_match_probed(
-        &self,
-        input_plan: &PhysicalPlan,
-        exclude: &HashSet<u64>,
-        probe: &mut MatchProbe,
-    ) -> Option<(u64, PlanMatch)> {
-        let n = self.shards.len();
-        probe.indexed = self.is_indexed();
-        if n == 1 {
-            // Single shard — the driver's default configuration, so the
-            // hot path: there is no cross-shard winner pass to time and
-            // no reason to pay the generic machinery (per-shard
-            // routing, entry clones, winner comparison). Mirror the
-            // snapshot's own §3 loop, recording as we go.
-            let shard = &self.shards[0];
-            let t0 = std::time::Instant::now();
-            let result = if probe.indexed {
-                let mut positions: Vec<usize> = Vec::new();
-                for id in input_plan.ids() {
-                    probe.signatures_probed += 1;
-                    if let Some(p) = shard.tip_index.get(&input_plan.node_signature(id)) {
-                        positions.extend_from_slice(p);
-                    }
-                }
-                positions.sort_unstable();
-                positions.dedup();
-                let mut found = None;
-                for pos in positions {
-                    let e = &shard.entries[pos];
-                    if exclude.contains(&e.id) {
-                        continue;
-                    }
-                    let matched = pairwise_plan_traversal(&e.plan, input_plan);
-                    probe.candidates.push(ProbedCandidate {
-                        entry_id: e.id,
-                        shard: 0,
-                        matched: matched.is_some(),
-                    });
-                    if let Some(m) = matched {
-                        found = Some((e.id, m));
-                        break;
-                    }
-                }
-                found
-            } else {
-                let hit = shard.find_first_match_scan(input_plan, exclude);
-                if let Some((id, _)) = &hit {
-                    probe.candidates.push(ProbedCandidate {
-                        entry_id: *id,
-                        shard: 0,
-                        matched: true,
-                    });
-                }
-                hit
-            };
-            probe.probe_ns = t0.elapsed().as_nanos() as u64;
-            probe.winner_ns = 0;
-            probe.winner_shard = result.as_ref().map(|_| 0);
-            return result;
-        }
-        let t0 = std::time::Instant::now();
-        let cands: Vec<(u64, PlanMatch, Arc<RepoEntry>, usize)> = if probe.indexed {
-            // Mirror of [`RepoView::find_first_match_indexed`] (which
-            // single-shard delegates to the snapshot's identical loop):
-            // signature-filtered candidates per shard, verified in
-            // ascending repository order, first verifier per shard.
-            let mut per_shard: Vec<Vec<usize>> = vec![Vec::new(); n];
-            for id in input_plan.ids() {
-                let sig = input_plan.node_signature(id);
-                probe.signatures_probed += 1;
-                let s = shard_index(Some(sig), n);
-                if let Some(positions) = self.shards[s].tip_index.get(&sig) {
-                    per_shard[s].extend_from_slice(positions);
-                }
-            }
-            let mut cands = Vec::new();
-            for (s, mut positions) in per_shard.into_iter().enumerate() {
-                positions.sort_unstable();
-                positions.dedup();
-                for pos in positions {
-                    let e = &self.shards[s].entries[pos];
-                    if exclude.contains(&e.id) {
-                        continue;
-                    }
-                    let matched = pairwise_plan_traversal(&e.plan, input_plan);
-                    probe.candidates.push(ProbedCandidate {
-                        entry_id: e.id,
-                        shard: s,
-                        matched: matched.is_some(),
-                    });
-                    if let Some(m) = matched {
-                        cands.push((e.id, m, e.clone(), s));
-                        break;
-                    }
-                }
-            }
-            cands
-        } else {
-            let mut cands = Vec::new();
-            for (s, shard) in self.shards.iter().enumerate() {
-                if let Some((id, m)) = shard.find_first_match_scan(input_plan, exclude) {
-                    probe.candidates.push(ProbedCandidate {
-                        entry_id: id,
-                        shard: s,
-                        matched: true,
-                    });
-                    cands.push((id, m, shard.get(id).expect("matched entry").clone(), s));
-                }
-            }
-            cands
-        };
         probe.probe_ns = t0.elapsed().as_nanos() as u64;
-        let t1 = std::time::Instant::now();
+        let t1 = Instant::now();
         let winner = shard_winner(cands);
         probe.winner_ns = t1.elapsed().as_nanos() as u64;
         probe.winner_shard = winner.as_ref().map(|(_, _, s)| *s);
         winner.map(|(id, m, _)| (id, m))
+    }
+
+    /// The paper's sequential scan (§3): each shard tries every entry in
+    /// its repository order, then [`shard_winner`] picks among the
+    /// per-shard first matches. The reference the tests hold
+    /// [`RepoView::find_first_match`] to, and the scan arm of the
+    /// matcher ablation.
+    pub fn scan_first_match(
+        &self,
+        input_plan: &PhysicalPlan,
+        exclude: &HashSet<u64>,
+    ) -> Option<(u64, PlanMatch)> {
+        let mut cands = Vec::new();
+        for (s, shard) in self.shards.iter().enumerate() {
+            let hit = shard.entries.iter().filter(|e| !exclude.contains(&e.id)).find_map(|e| {
+                pairwise_plan_traversal(&e.plan, input_plan).map(|m| (e.id, m, e.clone(), s))
+            });
+            cands.extend(hit);
+        }
+        shard_winner(cands).map(|(id, m, _)| (id, m))
     }
 
     /// Serialize the view (shard-concatenation order; loading a text
@@ -1482,57 +1248,7 @@ impl RepoView {
 
     /// See [`RepoSnapshot::save_filtered`].
     pub fn save_filtered(&self, keep: impl Fn(&str) -> bool) -> String {
-        let mut out = String::new();
-        for s in &self.shards {
-            for e in &s.entries {
-                if !keep(&e.output_path) {
-                    continue;
-                }
-                encode_entry_into(&mut out, e);
-            }
-        }
-        out
-    }
-}
-
-/// A consistent cross-shard cut with every shard's writer held (see
-/// [`Repository::freeze`]): no mutation can publish anywhere in the
-/// repository while it exists.
-pub struct FrozenRepo<'a> {
-    shards: Vec<&'a RepoSnapshot>,
-}
-
-impl FrozenRepo<'_> {
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.len()).sum()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.is_empty())
-    }
-
-    /// Entries across every shard, shard-concatenation order.
-    pub fn entries(&self) -> impl Iterator<Item = &Arc<RepoEntry>> {
-        self.shards.iter().flat_map(|s| s.entries.iter())
-    }
-
-    /// Serialize the frozen cut (shard-concatenation order).
-    pub fn save(&self) -> String {
-        self.save_filtered(|_| true)
-    }
-
-    /// See [`RepoSnapshot::save_filtered`].
-    pub fn save_filtered(&self, keep: impl Fn(&str) -> bool) -> String {
-        let mut out = String::new();
-        for s in &self.shards {
-            for e in &s.entries {
-                if !keep(&e.output_path) {
-                    continue;
-                }
-                encode_entry_into(&mut out, e);
-            }
-        }
-        out
+        self.shards.iter().map(|s| s.save_filtered(&keep)).collect()
     }
 }
 
@@ -1737,6 +1453,23 @@ mod tests {
         p
     }
 
+    /// The matcher's answer on the repository's current view, checked
+    /// against the sequential-scan reference on the same view.
+    fn first_match(repo: &Repository, q: &PhysicalPlan) -> Option<(u64, PlanMatch)> {
+        view_match(&repo.view(), q)
+    }
+
+    fn view_match(view: &RepoView, q: &PhysicalPlan) -> Option<(u64, PlanMatch)> {
+        let none = HashSet::new();
+        let found = view.find_first_match(q, &none, &mut MatchProbe::default());
+        assert_eq!(
+            found.as_ref().map(|(id, m)| (*id, m.tip)),
+            view.scan_first_match(q, &none).map(|(id, m)| (id, m.tip)),
+            "index-routed match diverged from the sequential scan"
+        );
+        found
+    }
+
     fn stats(input: u64, output: u64, time: f64) -> RepoStats {
         RepoStats {
             input_bytes: input,
@@ -1750,7 +1483,7 @@ mod tests {
     fn insert_and_match() {
         let repo = Repository::new();
         repo.insert(load_project("/pv", vec![0, 2]), "/repo/b", stats(100, 10, 5.0));
-        let (id, m) = repo.find_first_match(&q1_plan()).unwrap();
+        let (id, m) = first_match(&repo, &q1_plan()).unwrap();
         assert_eq!(repo.get(id).unwrap().output_path, "/repo/b");
         assert!(matches!(q1_plan().op(m.tip), PhysicalOp::Project { .. }));
     }
@@ -1801,7 +1534,7 @@ mod tests {
         assert_eq!(snap.entries()[1].output_path, "/r/sub");
         // A fresh Q1-shaped query now matches the *whole* Q1 plan first
         // (the paper's "first match is best match").
-        let (id, _) = repo.find_first_match(&q1_plan()).unwrap();
+        let (id, _) = first_match(&repo, &q1_plan()).unwrap();
         assert_eq!(repo.get(id).unwrap().output_path, "/r/q1");
     }
 
@@ -1836,39 +1569,33 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_index_agrees_with_scan() {
-        let scan = Repository::new();
-        let indexed = Repository::new();
-        indexed.set_fingerprint_index(true);
+    fn index_routed_match_agrees_with_scan() {
+        let repo = Repository::new();
         for (i, cols) in [vec![0], vec![1], vec![0, 2], vec![2]].into_iter().enumerate() {
             let s = stats(100 + i as u64, 10, i as f64);
-            scan.insert(load_project("/pv", cols.clone()), format!("/r/{i}"), s.clone());
-            indexed.insert(load_project("/pv", cols), format!("/r/{i}"), s);
+            repo.insert(load_project("/pv", cols), format!("/r/{i}"), s);
         }
+        // `first_match` checks the matcher against the scan on every call.
         let q = q1_plan();
-        let a = scan.find_first_match(&q).map(|(id, m)| (id, m.tip));
-        let b = indexed.find_first_match(&q).map(|(id, m)| (id, m.tip));
-        assert_eq!(a, b);
-        assert!(a.is_some());
+        assert!(first_match(&repo, &q).is_some());
         // And both agree on a non-match.
-        let other = load_project("/nowhere", vec![9]);
-        assert!(scan.find_first_match(&other).is_none());
-        assert!(indexed.find_first_match(&other).is_none());
-        // The two strategies are also exposed side by side on one
-        // snapshot, for the ablation bench and parity tests.
-        let snap = scan.snapshot();
-        let none = HashSet::new();
-        assert_eq!(
-            snap.find_first_match_scan(&q, &none).map(|(id, m)| (id, m.tip)),
-            snap.find_first_match_indexed(&q, &none).map(|(id, m)| (id, m.tip)),
-        );
+        assert!(first_match(&repo, &load_project("/nowhere", vec![9])).is_none());
+        // Excluded entries are skipped by both, down to a miss.
+        let view = repo.view();
+        let mut exclude = HashSet::new();
+        while let Some((id, _)) = view.find_first_match(&q, &exclude, &mut MatchProbe::default()) {
+            assert_eq!(view.scan_first_match(&q, &exclude).map(|(s, _)| s), Some(id));
+            exclude.insert(id);
+        }
+        assert!(view.scan_first_match(&q, &exclude).is_none());
+        assert!(!exclude.is_empty());
     }
 
     #[test]
     fn snapshot_readers_are_isolated_from_mutations() {
         let repo = Repository::new();
         repo.insert(load_project("/pv", vec![0, 2]), "/r/b", stats(100, 10, 5.0));
-        let before = repo.snapshot();
+        let before = repo.view();
         repo.batch(|b| {
             b.insert(load_project("/x", vec![1]), "/r/x", stats(50, 5, 1.0));
             b.insert(load_project("/y", vec![1]), "/r/y", stats(50, 5, 1.0));
@@ -1876,7 +1603,7 @@ mod tests {
         assert_eq!(before.len(), 1, "held snapshot unchanged");
         assert_eq!(repo.len(), 3, "batch landed atomically");
         // The old snapshot still matches correctly.
-        assert!(before.find_first_match(&q1_plan()).is_some());
+        assert!(view_match(&before, &q1_plan()).is_some());
     }
 
     #[test]
@@ -1925,7 +1652,7 @@ mod tests {
         assert_eq!(b.entries()[0].tip_signature, r.entries()[0].tip_signature);
         assert_eq!(b.stored_bytes(), r.stored_bytes());
         // Loaded repository still matches.
-        assert!(back.find_first_match(&q1_plan()).is_some());
+        assert!(first_match(&back, &q1_plan()).is_some());
         // And re-saving is byte-identical (usage counters round-trip).
         assert_eq!(back.save(), text);
     }
@@ -1953,17 +1680,16 @@ mod tests {
         assert_eq!(ids.len(), unique.len(), "ids stay unique after bulk dedup, got {ids:?}");
         assert_eq!(next, 3);
         // And matching still works against the bulk-built indexes.
-        assert!(repo.find_first_match(&q1_plan()).is_none());
-        let (hit, _) = repo
-            .find_first_match(&{
-                let mut p = load_project("/b", vec![0]);
-                let tip = p.stores()[0];
-                let before = p.inputs(tip)[0];
-                let g = p.add(PhysicalOp::Group { keys: vec![0] }, vec![before]);
-                p.add(PhysicalOp::Store { path: "/out".into() }, vec![g]);
-                p
-            })
-            .unwrap();
+        assert!(first_match(&repo, &q1_plan()).is_none());
+        let (hit, _) = first_match(&repo, &{
+            let mut p = load_project("/b", vec![0]);
+            let tip = p.stores()[0];
+            let before = p.inputs(tip)[0];
+            let g = p.add(PhysicalOp::Group { keys: vec![0] }, vec![before]);
+            p.add(PhysicalOp::Store { path: "/out".into() }, vec![g]);
+            p
+        })
+        .unwrap();
         assert_eq!(repo.get(hit).unwrap().output_path, "/r/b");
     }
 
@@ -2031,22 +1757,13 @@ mod tests {
         single.insert(q1_plan(), "/r/q1", stats(200, 20, 30.0));
         sharded.insert(q1_plan(), "/r/q1", stats(200, 20, 30.0));
         for q in [q1_plan(), load_project("/pv", vec![0]), load_project("/nowhere", vec![9])] {
-            let a = single
-                .find_first_match(&q)
+            // `first_match` also holds each side to its own scan.
+            let a = first_match(&single, &q)
                 .map(|(id, m)| (single.get(id).unwrap().output_path.clone(), m.tip));
-            let b = sharded
-                .find_first_match(&q)
+            let b = first_match(&sharded, &q)
                 .map(|(id, m)| (sharded.get(id).unwrap().output_path.clone(), m.tip));
             assert_eq!(a, b);
         }
-        // Scan and indexed strategies agree on the sharded view.
-        let view = sharded.view();
-        let none = HashSet::new();
-        let q = q1_plan();
-        assert_eq!(
-            view.find_first_match_scan(&q, &none).map(|(id, m)| (id, m.tip)),
-            view.find_first_match_indexed(&q, &none).map(|(id, m)| (id, m.tip)),
-        );
     }
 
     #[test]
@@ -2119,11 +1836,9 @@ mod tests {
         }
         // And matching agrees.
         let q = load_project("/p7", vec![0]);
-        let a =
-            single.find_first_match(&q).map(|(id, _)| single.get(id).unwrap().output_path.clone());
-        let b = sharded
-            .find_first_match(&q)
-            .map(|(id, _)| sharded.get(id).unwrap().output_path.clone());
+        let a = first_match(&single, &q).map(|(id, _)| single.get(id).unwrap().output_path.clone());
+        let b =
+            first_match(&sharded, &q).map(|(id, _)| sharded.get(id).unwrap().output_path.clone());
         assert_eq!(a, b);
     }
 

@@ -1,10 +1,10 @@
 //! Driver-level telemetry guarantees:
 //!
 //! 1. the §3 match hot path stays **zero-publish** with telemetry
-//!    enabled — a warm whole-workflow reuse run performs no RCU
+//!    enabled — a warm whole-workflow reuse run performs no snapshot
 //!    publish and enters no writer section;
-//! 2. the instrumented probed matcher returns results identical to the
-//!    plain matcher (parity proptest over sharded repositories);
+//! 2. the probed, index-routed matcher returns results identical to the
+//!    sequential scan (parity proptest over sharded repositories);
 //! 3. the reuse-decision trace explains hits and misses, keyed by the
 //!    execution's tick;
 //! 4. `stats_all` rows come from one consistent cut (one shared clock).
@@ -78,8 +78,33 @@ fn warm_match_path_publishes_nothing_with_telemetry_enabled() {
     assert!(text.contains("restore_match_hits_total{tenant=\"\"} 1"), "one warm hit:\n{text}");
     assert!(text.contains("restore_match_misses_total{tenant=\"\"} 1"), "one cold miss:\n{text}");
     assert!(text.contains("restore_stage_seconds_bucket{stage=\"match\""), "{text}");
-    assert!(text.contains("restore_match_stage_seconds_bucket{stage=\"index_probe\""), "{text}");
+    for stage in ["snapshot_load", "lineage_expand", "index_probe", "winner_pass"] {
+        let family = format!("restore_match_stage_seconds_bucket{{stage=\"{stage}\"");
+        assert!(text.contains(&family), "missing {family}:\n{text}");
+    }
     assert!(text.contains("restore_match_seconds_count{tenant=\"\"} 2"), "{text}");
+}
+
+/// A miss in a default-config session goes through the tip-signature
+/// index: its `NoCandidates` decision counts one probed signature per
+/// node of the expanded plan (an empty repository expands nothing, so
+/// that is the compiled job plan).
+#[test]
+fn default_config_miss_probes_every_plan_node() {
+    let restore = ReStore::new(engine(), ReStoreConfig::default());
+    let query = q1("/out/q1");
+    let (wf, _) = restore_dataflow::compile_canonical(&query, "/wf/1").expect("compile");
+    assert_eq!(wf.jobs.len(), 1, "Q1 is one job");
+    let cold = restore.execute_query(&query, "/wf/1").expect("cold run");
+    let probed: Vec<usize> = restore
+        .trace_for(None, cold.tick)
+        .iter()
+        .filter_map(|e| match e.decision {
+            ReuseDecision::NoCandidates { signatures_probed } => Some(signatures_probed),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(probed, vec![wf.jobs[0].plan.len()]);
 }
 
 #[test]
@@ -173,21 +198,19 @@ fn query_for(seed: u8, depth: u8) -> PhysicalPlan {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The instrumented probed matcher is the plain matcher plus
-    /// observation: identical (entry id, match tip) results on the same
-    /// view, for both the indexed and scan strategies, across shard
-    /// counts — and the probe's record is internally consistent (a
-    /// winner implies a winning shard and a matched candidate).
+    /// The probed, index-routed matcher agrees with the plain
+    /// sequential scan: identical (entry id, match tip) results on the
+    /// same view, across shard counts and exclude sets — and the probe's
+    /// record is internally consistent (a winner implies a winning shard
+    /// and a matched candidate; every query node's signature is probed).
     #[test]
     fn probed_match_agrees_with_plain(
         shards in 1usize..5,
-        indexed in any::<bool>(),
         inserts in prop::collection::vec((any::<u8>(), any::<u8>(), 1u64..500), 0..24),
         queries in prop::collection::vec((any::<u8>(), any::<u8>()), 1..8),
         exclude_picks in prop::collection::vec(0usize..24, 0..4),
     ) {
         let repo = Repository::with_shards(shards);
-        repo.set_fingerprint_index(indexed);
         let mut ids = Vec::new();
         for (seed, depth, bytes) in inserts {
             let stats = RepoStats { input_bytes: 4096, output_bytes: bytes, ..Default::default() };
@@ -202,15 +225,15 @@ proptest! {
         let view = repo.view();
         for (seed, depth) in queries {
             let q = query_for(seed, depth);
-            let plain = view.find_first_match_excluding(&q, &exclude);
+            let plain = view.scan_first_match(&q, &exclude);
             let mut probe = MatchProbe::default();
-            let probed = view.find_first_match_probed(&q, &exclude, &mut probe);
+            let probed = view.find_first_match(&q, &exclude, &mut probe);
             prop_assert_eq!(
                 plain.as_ref().map(|(id, m)| (*id, m.tip)),
                 probed.as_ref().map(|(id, m)| (*id, m.tip)),
-                "probed diverged from plain (indexed={}, shards={})", indexed, shards
+                "probed diverged from plain (shards={})", shards
             );
-            prop_assert_eq!(probe.indexed, indexed);
+            prop_assert_eq!(probe.signatures_probed, q.ids().count());
             match &probed {
                 Some((id, _)) => {
                     prop_assert!(probe.winner_shard.is_some(), "winner must carry its shard");

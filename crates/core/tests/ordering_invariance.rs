@@ -1,9 +1,10 @@
 //! Repository ordering invariants: the §3 "first match is best match"
 //! guarantee must not depend on the order entries were inserted.
 
-use restore_core::{RepoStats, Repository};
+use restore_core::{MatchProbe, RepoStats, Repository};
 use restore_dataflow::expr::Expr;
 use restore_dataflow::physical::{PhysicalOp, PhysicalPlan};
+use std::collections::HashSet;
 
 /// Build the paper's three-plan family: the full Q1 join plan, and the
 /// two Load+Project sub-plans it subsumes (Figures 2 and 5).
@@ -59,8 +60,15 @@ fn first_match_is_insertion_order_invariant() {
             "order {order:?} put {} first",
             first.output_path
         );
-        let (id, _) = repo.find_first_match(&query).unwrap();
+        let view = repo.view();
+        let none = HashSet::new();
+        let (id, _) = view.find_first_match(&query, &none, &mut MatchProbe::default()).unwrap();
         assert_eq!(repo.get(id).unwrap().output_path, "/out/full", "order {order:?}");
+        assert_eq!(
+            view.scan_first_match(&query, &none).map(|(s, _)| s),
+            Some(id),
+            "order {order:?}"
+        );
     }
 }
 

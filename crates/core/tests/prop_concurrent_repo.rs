@@ -1,4 +1,4 @@
-//! The RCU repository against the pre-refactor locked design.
+//! The snapshot repository against the pre-refactor locked design.
 //!
 //! Two families of guarantees:
 //!
@@ -9,13 +9,14 @@
 //!   (the §3 reference semantics);
 //! * **concurrency** — under real multi-threaded insert/evict/match
 //!   traffic the snapshot matcher only ever returns entries that exist
-//!   in the snapshot it matched against, the scan and indexed
-//!   strategies agree on every snapshot, matching publishes nothing,
+//!   in the snapshot it matched against, the index-routed matcher
+//!   agrees with the sequential scan on every view, matching publishes
+//!   nothing,
 //!   and `note_use` accounting is exact under 8-thread contention.
 
 use proptest::prelude::*;
 use restore_core::matcher::{pairwise_plan_traversal, subsumes, PlanMatch};
-use restore_core::{RepoStats, Repository};
+use restore_core::{MatchProbe, RepoStats, RepoView, Repository};
 use restore_dataflow::expr::Expr;
 use restore_dataflow::physical::{PhysicalOp, PhysicalPlan};
 use std::collections::HashSet;
@@ -25,7 +26,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// ordered `Vec`, sequential scan, O(n) lookups, per-call
 /// `stored_bytes` sum (concurrent callers would serialize on one big
 /// lock around the whole struct). The proptest drives it in lockstep
-/// with the RCU repository and demands byte-identical behavior.
+/// with the snapshot repository and demands byte-identical behavior.
 #[derive(Default)]
 struct LockedRepo {
     entries: Vec<(u64, PhysicalPlan, u64, String, RepoStats)>,
@@ -98,6 +99,11 @@ impl LockedRepo {
     }
 }
 
+/// The production matcher on `view`, nothing excluded.
+fn find(view: &RepoView, q: &PhysicalPlan) -> Option<(u64, PlanMatch)> {
+    view.find_first_match(q, &HashSet::new(), &mut MatchProbe::default())
+}
+
 /// Small pipeline plans over a handful of load paths so that random
 /// sequences produce genuine matches, subsumption chains, and duplicate
 /// signatures.
@@ -149,7 +155,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
 
 proptest! {
     /// Random insert/evict/match/note_use sequences: the snapshot-based
-    /// matcher (both strategies) returns identical (entry id, match
+    /// matcher (and its sequential-scan reference) returns identical (entry id, match
     /// tip) results to the locked sequential scan, and entry order,
     /// statistics, and `stored_bytes` stay in lockstep throughout.
     #[test]
@@ -170,7 +176,7 @@ proptest! {
                     let path = format!("/r/{seed}-{depth}");
                     let a = repo.insert(plan.clone(), &path, stats.clone());
                     let b = reference.insert(plan, path, stats);
-                    // Same id under both Inserted and Duplicate: the RCU
+                    // Same id under both Inserted and Duplicate: the snapshot
                     // repo burns ids on duplicates, the reference does
                     // not, so compare through the reference's id *only*
                     // for presence bookkeeping.
@@ -194,8 +200,8 @@ proptest! {
                 }
                 Op::Match { seed, depth } => {
                     let q = query_for(seed, depth);
-                    let snap = repo.snapshot();
-                    let got = snap.find_first_match(&q);
+                    let view = repo.view();
+                    let got = find(&view, &q);
                     let want = reference.find_first_match(&q);
                     match (&got, &want) {
                         (None, None) => {}
@@ -208,12 +214,11 @@ proptest! {
                         }
                         _ => prop_assert!(false, "hit/miss disagreement: {:?} vs {:?}", got.is_some(), want.is_some()),
                     }
-                    // The indexed strategy agrees with the scan on the
-                    // same snapshot, entry for entry, tip for tip.
-                    let none = HashSet::new();
+                    // The matcher agrees with the scan on the same view,
+                    // entry for entry, tip for tip.
                     prop_assert_eq!(
-                        snap.find_first_match_scan(&q, &none).map(|(id, m)| (id, m.tip)),
-                        snap.find_first_match_indexed(&q, &none).map(|(id, m)| (id, m.tip))
+                        view.scan_first_match(&q, &HashSet::new()).map(|(id, m)| (id, m.tip)),
+                        got.as_ref().map(|(id, m)| (*id, m.tip))
                     );
                 }
                 Op::NoteUse { pick, tick } => {
@@ -238,7 +243,7 @@ proptest! {
     }
 }
 
-/// Map an RCU-repo entry id to the reference entry id by position (ids
+/// Map a snapshot-repo entry id to the reference entry id by position (ids
 /// diverge when duplicates burn ids on one side only).
 fn id_map(repo: &Repository, reference: &LockedRepo, id: u64) -> Option<u64> {
     let snap = repo.snapshot();
@@ -248,12 +253,11 @@ fn id_map(repo: &Repository, reference: &LockedRepo, id: u64) -> Option<u64> {
 
 /// Concurrency: 4 writer threads churn inserts/evictions while 4 reader
 /// threads match. Every match must name an entry present in the
-/// snapshot it was found in, the two match strategies must agree per
-/// snapshot, and matching must publish nothing.
+/// view it was found in, the matcher must agree with the sequential
+/// scan per view, and matching must publish nothing.
 #[test]
 fn concurrent_insert_evict_match_is_coherent() {
     let repo = Repository::new();
-    repo.set_fingerprint_index(true);
     // Pre-seed so matches happen from the start.
     for s in 0..8u8 {
         let stats = RepoStats {
@@ -298,23 +302,23 @@ fn concurrent_insert_evict_match_is_coherent() {
                 while stop.load(Ordering::SeqCst) < 4 {
                     i += 1;
                     let q = query_for((r as u32 * 17 + i) as u8, (i % 4) as u8);
-                    let snap = repo.snapshot();
-                    if let Some((id, m)) = snap.find_first_match(&q) {
-                        // The match names a live entry of *this* snapshot…
-                        let e = snap.get(id).expect("matched entry must exist in its snapshot");
+                    let view = repo.view();
+                    let found = find(&view, &q).map(|(id, m)| (id, m.tip));
+                    if let Some((id, tip)) = found {
+                        // The match names a live entry of *this* view…
+                        let e = view.get(id).expect("matched entry must exist in its view");
                         // …that genuinely matches (re-verify the traversal).
                         let again = pairwise_plan_traversal(&e.plan, &q)
                             .expect("matched entry must verify");
-                        assert_eq!(again.tip, m.tip);
+                        assert_eq!(again.tip, tip);
                         matches_seen.fetch_add(1, Ordering::SeqCst);
                         repo.note_use(id, i as u64);
                     }
-                    // Scan and index agree on this snapshot even while
+                    // Matcher and scan agree on this view even while
                     // writers churn.
-                    let none = HashSet::new();
                     assert_eq!(
-                        snap.find_first_match_scan(&q, &none).map(|(id, m)| (id, m.tip)),
-                        snap.find_first_match_indexed(&q, &none).map(|(id, m)| (id, m.tip)),
+                        view.scan_first_match(&q, &HashSet::new()).map(|(id, m)| (id, m.tip)),
+                        found,
                     );
                 }
             });
@@ -338,8 +342,7 @@ fn match_path_is_write_free() {
     let publishes = repo.publish_count();
     let q = query_for(1, 2);
     for t in 0..1000u64 {
-        let snap = repo.snapshot();
-        let (found, _) = snap.find_first_match(&q).expect("warm match");
+        let (found, _) = find(&repo.view(), &q).expect("warm match");
         assert_eq!(found, id);
         repo.note_use(found, t);
     }
@@ -357,9 +360,6 @@ proptest! {
     fn sharded_repo_stays_in_lockstep_with_single_shard(ops in prop::collection::vec(arb_op(), 1..60)) {
         let single = Repository::new();
         let sharded = Repository::with_shards(8);
-        // Index only the sharded side: the per-shard indexed probe must
-        // still agree with the single-shard sequential scan.
-        sharded.set_fingerprint_index(true);
         let mut live_ids: Vec<u64> = Vec::new();
         for op in ops {
             match op {
@@ -392,8 +392,10 @@ proptest! {
                 }
                 Op::Match { seed, depth } => {
                     let q = query_for(seed, depth);
-                    let a = single.snapshot().find_first_match(&q);
-                    let b = sharded.view().find_first_match(&q);
+                    // The single-shard sequential scan is the reference
+                    // for the sharded, index-routed matcher.
+                    let a = single.view().scan_first_match(&q, &HashSet::new());
+                    let b = find(&sharded.view(), &q);
                     match (a, b) {
                         (None, None) => {}
                         (Some((ida, ma)), Some((idb, mb))) => {
@@ -441,12 +443,11 @@ proptest! {
 /// Sharded coherence under real contention: 8 writer threads churn
 /// inserts/evictions into an 8-shard repository while readers match
 /// through per-shard views. Every match must name a live entry of the
-/// view it was found in and re-verify, and the per-shard indexed probe
+/// view it was found in and re-verify, and the index-routed matcher
 /// must agree with the cross-shard scan on every view.
 #[test]
 fn sharded_concurrent_insert_evict_match_is_coherent() {
     let repo = Repository::with_shards(8);
-    repo.set_fingerprint_index(true);
     for s in 0..8u8 {
         let stats = RepoStats {
             input_bytes: 4096,
@@ -491,18 +492,18 @@ fn sharded_concurrent_insert_evict_match_is_coherent() {
                     i += 1;
                     let q = query_for((r as u32 * 17 + i) as u8, (i % 4) as u8);
                     let view = repo.view();
-                    if let Some((id, m)) = view.find_first_match(&q) {
+                    let found = find(&view, &q).map(|(id, m)| (id, m.tip));
+                    if let Some((id, tip)) = found {
                         let e = view.get(id).expect("matched entry must exist in its view");
                         let again = pairwise_plan_traversal(&e.plan, &q)
                             .expect("matched entry must verify");
-                        assert_eq!(again.tip, m.tip);
+                        assert_eq!(again.tip, tip);
                         matches_seen.fetch_add(1, Ordering::SeqCst);
                         repo.note_use(id, i as u64);
                     }
-                    let none = HashSet::new();
                     assert_eq!(
-                        view.find_first_match_scan(&q, &none).map(|(id, m)| (id, m.tip)),
-                        view.find_first_match_indexed(&q, &none).map(|(id, m)| (id, m.tip)),
+                        view.scan_first_match(&q, &HashSet::new()).map(|(id, m)| (id, m.tip)),
+                        found,
                     );
                 }
             });

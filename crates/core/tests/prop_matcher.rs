@@ -41,6 +41,18 @@ fn arb_plan() -> impl Strategy<Value = PhysicalPlan> {
         })
 }
 
+/// `plan` with a transparent `Split` tee spliced in front of the first
+/// input of one of its operators (`at` picks which).
+fn with_tee(plan: &PhysicalPlan, at: prop::sample::Index) -> PhysicalPlan {
+    let mut p = plan.clone();
+    let nodes = op_nodes(&p);
+    let n = nodes[at.index(nodes.len())];
+    let input = p.inputs(n)[0];
+    let tee = p.add(PhysicalOp::Split, vec![input]);
+    p.node_mut(n).inputs[0] = tee;
+    p
+}
+
 /// Non-plumbing nodes of a plan.
 fn op_nodes(p: &PhysicalPlan) -> Vec<NodeId> {
     p.ids()
@@ -110,34 +122,50 @@ proptest! {
         prop_assert_eq!(back.len(), plan.len());
     }
 
-    /// The fingerprint index and the paper's sequential scan return the
-    /// same match (or the same miss) on random repositories and queries.
+    /// The index-routed matcher and the paper's sequential scan return
+    /// the same match (or the same miss) on random repositories,
+    /// queries, shard counts, and exclude sets — also when a `Split`
+    /// tee sits inside the query or a stored plan.
     #[test]
     fn index_agrees_with_scan(
         entries in prop::collection::vec(arb_plan(), 1..8),
         query in arb_plan(),
         pick in any::<prop::sample::Index>(),
+        shards in prop::sample::select(vec![1usize, 3, 8]),
+        exclude_picks in prop::collection::vec(any::<prop::sample::Index>(), 0..3),
+        query_tee in prop::option::of(any::<prop::sample::Index>()),
+        entry_tee in prop::option::of(any::<prop::sample::Index>()),
     ) {
-        use restore_core::{RepoStats, Repository};
-        let scan = Repository::new();
-        let indexed = Repository::new();
-        indexed.set_fingerprint_index(true);
+        use restore_core::{MatchProbe, RepoStats, Repository};
+        let repo = Repository::with_shards(shards);
         for (i, plan) in entries.iter().enumerate() {
             // Register prefixes of random plans: realistic sub-job shapes.
             let nodes = op_nodes(plan);
             let n = nodes[pick.index(nodes.len())];
-            let prefix = plan.prefix_plan(n, &format!("/r/{i}"));
+            let mut prefix = plan.prefix_plan(n, &format!("/r/{i}"));
+            if let Some(at) = entry_tee {
+                prefix = with_tee(&prefix, at);
+            }
             let stats = RepoStats {
                 input_bytes: 100 + i as u64,
                 output_bytes: 10,
                 job_time_s: i as f64,
                 ..Default::default()
             };
-            scan.insert(prefix.clone(), format!("/r/{i}"), stats.clone());
-            indexed.insert(prefix, format!("/r/{i}"), stats);
+            repo.insert(prefix, format!("/r/{i}"), stats);
         }
-        let a = scan.find_first_match(&query).map(|(id, m)| (id, m.tip));
-        let b = indexed.find_first_match(&query).map(|(id, m)| (id, m.tip));
+        let query = match query_tee {
+            Some(at) => with_tee(&query, at),
+            None => query,
+        };
+        let view = repo.view();
+        let ids: Vec<u64> = view.entries().iter().map(|e| e.id).collect();
+        let exclude: std::collections::HashSet<u64> =
+            exclude_picks.iter().map(|p| ids[p.index(ids.len())]).collect();
+        let a = view.scan_first_match(&query, &exclude).map(|(id, m)| (id, m.tip));
+        let b = view
+            .find_first_match(&query, &exclude, &mut MatchProbe::default())
+            .map(|(id, m)| (id, m.tip));
         prop_assert_eq!(a, b);
     }
 

@@ -5,7 +5,6 @@ use crate::block::{BlockId, FileSplit};
 use crate::datanode::DataNode;
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::namenode::{validate_path, BlockMeta, FileMeta, FileStatus, NameNode};
-use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
 use restore_common::{Error, Result};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -267,7 +266,7 @@ impl Dfs {
         Ok(out)
     }
 
-    fn fetch_block(&self, bm: &BlockMeta) -> Result<Bytes> {
+    fn fetch_block(&self, bm: &BlockMeta) -> Result<Arc<[u8]>> {
         for &host in &bm.replicas {
             if let Some(data) = self.inner.nodes[host].lock().get(bm.id) {
                 return Ok(data);
@@ -317,15 +316,14 @@ impl Dfs {
         let block_size = self.inner.config.block_size as usize;
         let total_len = data.len() as u64;
         let replication = self.inner.config.replication.min(self.inner.config.nodes);
-        let payload = Bytes::from(data);
-
         let mut blocks = Vec::new();
         let mut start = 0usize;
         // Files always have at least one (possibly empty) block so empty
         // outputs still exist as files.
         loop {
-            let end = (start + block_size).min(payload.len());
-            let chunk = payload.slice(start..end);
+            let end = (start + block_size).min(data.len());
+            // One copy per block; every replica shares it.
+            let chunk: Arc<[u8]> = Arc::from(&data[start..end]);
             let id = BlockId(self.inner.next_block.fetch_add(1, Ordering::Relaxed));
             let cursor = (id.0 as usize) % self.inner.config.nodes;
             let hosts = self.place_replicas(chunk.len() as u64, cursor)?;
@@ -335,7 +333,7 @@ impl Dfs {
             self.inner.metrics.blocks_created.fetch_add(1, Ordering::Relaxed);
             blocks.push(BlockMeta { id, len: chunk.len() as u64, replicas: hosts });
             start = end;
-            if start >= payload.len() {
+            if start >= data.len() {
                 break;
             }
         }

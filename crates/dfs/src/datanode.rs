@@ -1,11 +1,11 @@
 //! Datanodes: block payload storage with capacity accounting.
 
 use crate::block::BlockId;
-use bytes::Bytes;
 use std::collections::HashMap;
+use std::sync::Arc;
 
-/// One storage node. Payloads are [`Bytes`] so replica "copies" share the
-/// underlying buffer — replication is accounted, not physically duplicated,
+/// One storage node. Payloads are `Arc<[u8]>` so replica "copies" share
+/// the underlying buffer — replication is accounted, not physically duplicated,
 /// keeping large experiments memory-friendly while the metrics still count
 /// replica bytes the way a real cluster's disks would.
 #[derive(Debug)]
@@ -14,7 +14,7 @@ pub struct DataNode {
     /// Optional capacity limit in bytes; `None` = unlimited.
     pub capacity: Option<u64>,
     used: u64,
-    blocks: HashMap<BlockId, Bytes>,
+    blocks: HashMap<BlockId, Arc<[u8]>>,
 }
 
 impl DataNode {
@@ -46,13 +46,13 @@ impl DataNode {
     }
 
     /// Store a replica. Caller must have checked `can_store`.
-    pub fn put(&mut self, id: BlockId, data: Bytes) {
+    pub fn put(&mut self, id: BlockId, data: Arc<[u8]>) {
         self.used += data.len() as u64;
         self.blocks.insert(id, data);
     }
 
     /// Fetch a replica if hosted here.
-    pub fn get(&self, id: BlockId) -> Option<Bytes> {
+    pub fn get(&self, id: BlockId) -> Option<Arc<[u8]>> {
         self.blocks.get(&id).cloned()
     }
 
@@ -76,7 +76,7 @@ mod tests {
     fn usage_accounting() {
         let mut n = DataNode::new(0, Some(100));
         assert_eq!(n.free(), 100);
-        n.put(BlockId(1), Bytes::from_static(b"0123456789"));
+        n.put(BlockId(1), Arc::from(&b"0123456789"[..]));
         assert_eq!(n.used(), 10);
         assert_eq!(n.free(), 90);
         assert!(n.can_store(90));
@@ -96,8 +96,11 @@ mod tests {
     #[test]
     fn get_returns_shared_payload() {
         let mut n = DataNode::new(0, None);
-        n.put(BlockId(7), Bytes::from_static(b"abc"));
-        assert_eq!(n.get(BlockId(7)).unwrap().as_ref(), b"abc");
+        let payload: Arc<[u8]> = Arc::from(&b"abc"[..]);
+        n.put(BlockId(7), payload.clone());
+        let got = n.get(BlockId(7)).unwrap();
+        assert_eq!(got.as_ref(), b"abc");
+        assert!(Arc::ptr_eq(&got, &payload), "replica reads share the stored block");
         assert!(n.get(BlockId(8)).is_none());
     }
 }

@@ -837,7 +837,7 @@ impl RestoreService {
             );
             g(
                 "restore_repo_publishes",
-                "RCU snapshot publishes (summed across shards)",
+                "Repository snapshot publishes (summed across shards)",
                 &labels,
                 publishes as f64,
             );

@@ -2,7 +2,7 @@
 //!
 //! 1. `render_metrics` emits every required Prometheus family — match
 //!    (per tenant and per shard), stage timing, journal lanes,
-//!    checkpoint durations, scheduler depth, worker utilization, RCU
+//!    checkpoint durations, scheduler depth, worker utilization, snapshot
 //!    write counters;
 //! 2. `trace(handle)` explains a completed submission's reuse
 //!    decisions, keyed by the ticket's driver tick;
@@ -47,6 +47,7 @@ fn render_metrics_covers_required_families() {
         "restore_match_misses_total{tenant=\"ana\"}",
         "restore_match_seconds_bucket{tenant=\"ana\",le=",
         "restore_match_shard_hits_total{tenant=\"ana\",shard=\"0\"} 1",
+        "restore_match_stage_seconds_bucket{stage=\"lineage_expand\"",
         "restore_match_stage_seconds_bucket{stage=\"index_probe\"",
         "restore_match_stage_seconds_bucket{stage=\"winner_pass\"",
         // Driver pipeline stages.
@@ -71,7 +72,7 @@ fn render_metrics_covers_required_families() {
         "service_worker_run_seconds_bucket{le=",
         "service_ticket_wait_seconds_bucket{le=",
         "service_submitted{tenant=\"ana\"} 2",
-        // RCU write counters per namespace.
+        // Snapshot write counters per namespace.
         "restore_repo_publishes{tenant=\"ana\"}",
         "restore_repo_writer_sections{tenant=\"ana\"}",
         "restore_repo_entries{tenant=\"ana\"}",

@@ -1,8 +1,8 @@
 //! # restore-telemetry
 //!
-//! A dependency-free observability core, hand-rolled like
-//! `restore_core::rcu` because the build environment is fully offline:
-//! no `prometheus`, no `metrics`, no `tracing`.
+//! A dependency-free observability core, hand-rolled because the build
+//! environment is fully offline: no `prometheus`, no `metrics`, no
+//! `tracing`.
 //!
 //! Three pieces:
 //!
@@ -10,7 +10,7 @@
 //!   hot-path record is a relaxed `fetch_add` on a cache-line-padded
 //!   stripe — no lock, no CAS loop, no snapshot publication — so
 //!   instrumenting a write-free path (e.g. the §3 match loop) keeps it
-//!   write-free in the RCU sense: the publish counter never moves.
+//!   write-free: the snapshot publish counter never moves.
 //! * **A registry** ([`Registry`]) of named, labeled metric families
 //!   that renders the whole set in Prometheus text exposition format
 //!   ([`Registry::render`]). Handles are resolved once (a short mutex

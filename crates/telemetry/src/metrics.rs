@@ -13,8 +13,7 @@ use std::time::Instant;
 const STRIPES: usize = 16;
 
 /// One cache line per stripe: two threads on different stripes never
-/// bounce a line between cores (same idiom as the padded epoch slots
-/// in `restore_core::rcu`).
+/// bounce a line between cores.
 #[repr(align(64))]
 #[derive(Default)]
 struct PaddedU64(AtomicU64);

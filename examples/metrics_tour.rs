@@ -10,7 +10,7 @@
 //!    tenant and shard, per-stage pipeline timing, journal lanes,
 //!    checkpoint durations, scheduler depth, worker utilization,
 //!    replication shipping (a warm standby tails the whole run), and
-//!    the RCU write counters that prove the match path publishes
+//!    the snapshot write counters that prove the match path publishes
 //!    nothing;
 //! 3. prints the standby's replica-side replication families
 //!    (`restore_replica_*`), which live in the *standby's* registry —

@@ -91,15 +91,7 @@ fn unquote(s: &str, what: &str) -> Result<String> {
 pub(crate) fn parse_entry_lines(
     lines: &mut std::iter::Peekable<std::str::Lines<'_>>,
 ) -> Result<Option<DlqEntry>> {
-    while let Some(l) = lines.peek() {
-        if l.trim().is_empty() {
-            lines.next();
-        } else {
-            break;
-        }
-    }
-    let Some(line) = lines.peek() else { return Ok(None) };
-    let Some(head) = line.strip_prefix("dead ") else { return Ok(None) };
+    let Some(head) = crate::state::next_keyword(lines, "dead ") else { return Ok(None) };
     let mut it = head.split(' ');
     let mut next_num = |what: &str| -> Result<u64> {
         it.next()
@@ -112,7 +104,6 @@ pub(crate) fn parse_entry_lines(
     if it.next().is_some() {
         return Err(bad(format!("trailing fields in header {head:?}")));
     }
-    lines.next();
 
     let err_line = lines.next().ok_or_else(|| bad("missing error line"))?;
     let quoted = err_line
@@ -121,15 +112,12 @@ pub(crate) fn parse_entry_lines(
     let error = unquote(quoted, "error")?;
 
     let mut tmp_paths = Vec::new();
-    while let Some(l) = lines.peek() {
-        let Some(q) = l.strip_prefix("tmp ") else { break };
+    while let Some(q) = crate::state::next_keyword(lines, "tmp ") {
         tmp_paths.push(unquote(q, "tmp path")?);
-        lines.next();
     }
 
     let mut jobs = Vec::new();
-    while let Some(l) = lines.peek() {
-        let Some(deps) = l.strip_prefix("job ") else { break };
+    while let Some(deps) = crate::state::next_keyword(lines, "job ") {
         let deps: Vec<usize> = if deps == "-" {
             Vec::new()
         } else {
@@ -137,20 +125,7 @@ pub(crate) fn parse_entry_lines(
                 .map(|d| d.parse().map_err(|_| bad(format!("bad job deps {deps:?}"))))
                 .collect::<Result<_>>()?
         };
-        lines.next();
-        let mut plan_text = String::new();
-        loop {
-            let Some(pl) = lines.next() else { return Err(bad("job plan missing 'end'")) };
-            if pl == "end" {
-                break;
-            }
-            let Some(body) = pl.strip_prefix("  ") else {
-                return Err(bad(format!("expected indented plan line or 'end', got {pl:?}")));
-            };
-            plan_text.push_str(body);
-            plan_text.push('\n');
-        }
-        let plan = crate::plan_text::decode_plan(&plan_text)
+        let plan = crate::plan_text::read_plan_block(lines)
             .map_err(|e| bad(format!("in job plan: {e}")))?;
         jobs.push(CompiledJob { plan, deps });
     }

@@ -1683,7 +1683,7 @@ impl ReStore {
         (space.repo.publish_count(), space.repo.writer_sections())
     }
 
-    /// Serialize the full ReStore session state (`restore-state v3`):
+    /// Serialize the full ReStore session state (`restore-state v5`):
     /// the counters, the journal anchor, the global configuration, and
     /// **every** namespace — default and per-tenant — with its
     /// repository, provenance table, and (when set) its policy
@@ -1727,8 +1727,9 @@ impl ReStore {
         let seq = self.journal.seq();
         let lineage = self.journal.lineage();
         let mut out = format!(
-            "{}\ntick {}\ncand {}\nseq {}\n--config--\n{}",
-            crate::state::V5_HEADER,
+            "{}{}\ntick {}\ncand {}\nseq {}\n--config--\n{}",
+            crate::state::HEADER_PREFIX,
+            crate::state::CURRENT_VERSION,
             self.tick.load(Ordering::SeqCst),
             self.cand_counter.load(Ordering::SeqCst),
             seq,
@@ -1977,22 +1978,6 @@ impl ReStore {
         Ok(())
     }
 
-    /// Serialize the session in the **legacy v1 format**: counters plus
-    /// the default namespace only, no configuration. Kept for
-    /// compatibility tooling and round-trip tests; new snapshots should
-    /// use [`ReStore::save_state`].
-    pub fn save_state_v1(&self) -> String {
-        let (prov_text, repo_text) = self.capture_space_tables(&self.space);
-        format!(
-            "{}\ntick {}\ncand {}\n--provenance--\n{}--repository--\n{}",
-            crate::state::V1_HEADER,
-            self.tick.load(Ordering::SeqCst),
-            self.cand_counter.load(Ordering::SeqCst),
-            prov_text,
-            repo_text,
-        )
-    }
-
     /// Serialize one namespace's provenance and repository with
     /// condemned paths excluded. The capture **freezes both writer
     /// sides** (no snapshot can be published while it runs): deferrals
@@ -2039,19 +2024,20 @@ impl ReStore {
         out
     }
 
-    /// Restore a session serialized by [`ReStore::save_state`] (v4 or
-    /// the earlier v2/v3) or by a pre-v2 release ([`ReStore::save_state_v1`]'s
-    /// format). The DFS handle (and the stored output files in it) come
-    /// from the engine this instance was built with.
+    /// Restore a session serialized by [`ReStore::save_state`] (v5) or
+    /// by an earlier release (v1–v4, which load with defaults for the
+    /// parts they lack). The DFS handle (and the stored output files in
+    /// it) come from the engine this instance was built with.
     ///
-    /// A v2/v3/v4 document replaces the whole session: global config,
-    /// every tenant namespace (existing tenant state is dropped,
-    /// dead-letter queues included), and the counters. A v1 document
-    /// predates tenant serialization and loads into the default
-    /// namespace only, leaving tenants and the global config untouched.
+    /// A v2-or-later document replaces the whole session: global
+    /// config, every tenant namespace (existing tenant state is
+    /// dropped, dead-letter queues included), and the counters. A v1
+    /// document predates tenant serialization and loads into the
+    /// default namespace only, leaving tenants and the global config
+    /// untouched.
     ///
     /// Call on a quiesced session (no workflows in flight) — the
-    /// service's `restore` entry point arranges that. Malformed input
+    /// service's `restore_incremental` arranges that. Malformed input
     /// yields [`Error::State`] naming the offending line. With the
     /// journal on, the wholesale replacement is recorded as one
     /// `replace` record, so later deltas still recover correctly.
@@ -2068,7 +2054,7 @@ impl ReStore {
         let _pause = self.journal.pause();
         let loaded = crate::state::parse(text)?;
         if let Some(global) = loaded.global_config {
-            // v2/v3: a full-session restore. Reset the default
+            // v2 and later: a full-session restore. Reset the default
             // namespace up front so a document without a `--space ""--`
             // section (e.g. hand-pruned) still replaces the whole
             // session instead of leaving stale default-namespace state
@@ -2312,8 +2298,8 @@ mod tests {
             assert!(repo.entries().iter().all(|e| e.output_path != reused));
         });
 
-        // The legacy writer applies the same exclusion.
-        assert!(!rs.save_state_v1().contains(&format!("{reused:?}")));
+        // Every later capture applies the same exclusion.
+        assert!(!rs.save_state().contains(&format!("{reused:?}")));
         drop(pins);
         assert!(!rs.engine().dfs().exists(&reused), "deferred deletion still fires");
     }

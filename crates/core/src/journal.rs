@@ -63,7 +63,7 @@
 //!
 //! # Sequence numbers and compaction
 //!
-//! Base checkpoints (`restore-state v3`) record the journal sequence
+//! Base checkpoints (v3 and later) record the journal sequence
 //! number current when the capture began. Recovery replays only records
 //! with `seq >` the base's, and every record is **idempotent** (puts
 //! carry full entries, note-use carries absolute counters), so a base
@@ -612,9 +612,10 @@ pub fn segment_boundaries(segment: &str) -> Vec<usize> {
     while pos < segment.len() {
         let Some((_, len, sum, body_start)) = parse_frame_at(segment, pos) else { break };
         let end = body_start + len;
-        if end > segment.len() || fnv1a64(&segment.as_bytes()[body_start..end]) != sum {
-            // Incomplete or checksum-invalid frame: no boundary past
-            // here — decode_segment would reject the same frame.
+        if segment.get(body_start..end).is_none_or(|body| fnv1a64(body.as_bytes()) != sum) {
+            // Incomplete, checksum-invalid, or ending inside a UTF-8
+            // character: no boundary past here — decode_segment would
+            // reject the same frame.
             break;
         }
         out.push(end);
@@ -653,19 +654,22 @@ pub(crate) fn segment_seq_span(segment: &str) -> Option<(u64, u64, usize)> {
 
 /// Parse the frame header starting at `pos`; returns
 /// `(seq, payload_len, checksum, payload_start)` or `None` when the
-/// header line is incomplete or unparseable.
+/// header line is incomplete or unparseable. A length whose payload end
+/// overflows `usize` is unparseable, so callers may add freely.
 fn parse_frame_at(text: &str, pos: usize) -> Option<(u64, usize, u64, usize)> {
-    let nl = text[pos..].find('\n')?;
-    let line = &text[pos..pos + nl];
-    let rest = line.strip_prefix("r ")?;
-    let mut it = rest.split(' ');
+    // `pos` may come from an unverified length and land inside a UTF-8
+    // character; `get` turns that into "no frame" instead of a panic.
+    let line = text.get(pos..)?;
+    let nl = line.find('\n')?;
+    let mut it = line[..nl].strip_prefix("r ")?.split(' ');
     let seq: u64 = it.next()?.parse().ok()?;
     let len: usize = it.next()?.parse().ok()?;
     let sum = u64::from_str_radix(it.next()?, 16).ok()?;
-    if it.next().is_some() {
+    let body_start = pos + nl + 1;
+    if it.next().is_some() || body_start.checked_add(len).is_none() {
         return None;
     }
-    Some((seq, len, sum, pos + nl + 1))
+    Some((seq, len, sum, body_start))
 }
 
 /// A decoded segment: the `(seq, record)` pairs plus the torn tail, if
@@ -697,7 +701,7 @@ pub(crate) fn decode_segment(
     let mut ordinal = 0usize;
     while pos < text.len() {
         ordinal += 1;
-        let Some(nl) = text[pos..].find('\n') else {
+        let Some(nl) = text.get(pos..).and_then(|rest| rest.find('\n')) else {
             // Header line cut short mid-write.
             if is_final {
                 return torn(records, pos);
@@ -715,14 +719,18 @@ pub(crate) fn decode_segment(
             }
             return Err(err(ordinal, "truncated record payload in non-final segment".into()));
         }
-        let payload = &text[body_start..body_start + len];
-        let actual = fnv1a64(payload.as_bytes());
+        // Checksum the bytes before slicing the text: a corrupted
+        // length may end the payload inside a UTF-8 character.
+        let actual = fnv1a64(&text.as_bytes()[body_start..body_start + len]);
         if actual != sum {
             return Err(err(
                 ordinal,
                 format!("checksum mismatch for record seq {seq}: stored {sum:016x}, computed {actual:016x}"),
             ));
         }
+        let Some(payload) = text.get(body_start..body_start + len) else {
+            return Err(err(ordinal, format!("record seq {seq} ends inside a UTF-8 character")));
+        };
         let record = decode_payload(payload).map_err(|msg| err(ordinal, msg))?;
         records.push((seq, record));
         pos = body_start + len;
@@ -744,6 +752,10 @@ fn decode_payload(payload: &str) -> Result<Record, String> {
     let space = |arg: &str| -> Result<String, String> {
         crate::state::unquote(arg, 0).map_err(|_| format!("bad space name {arg:?}"))
     };
+    let config = || {
+        let lines: Vec<&str> = body.lines().collect();
+        crate::state::decode_config(&lines, 0).map_err(|e| format!("in config: {e}"))
+    };
     match tag {
         "counters" => {
             let (t, c) = arg.split_once(' ').ok_or("counters record needs two values")?;
@@ -753,19 +765,9 @@ fn decode_payload(payload: &str) -> Result<Record, String> {
             })
         }
         "tenant-create" => Ok(Record::TenantCreate { space: space(arg)? }),
-        "tenant-config" => {
-            let lines: Vec<&str> = body.lines().collect();
-            let config =
-                crate::state::decode_config(&lines, 0).map_err(|e| format!("in config: {e}"))?;
-            Ok(Record::TenantConfigSet { space: space(arg)?, config })
-        }
+        "tenant-config" => Ok(Record::TenantConfigSet { space: space(arg)?, config: config()? }),
         "tenant-config-clear" => Ok(Record::TenantConfigClear { space: space(arg)? }),
-        "global-config" => {
-            let lines: Vec<&str> = body.lines().collect();
-            let config =
-                crate::state::decode_config(&lines, 0).map_err(|e| format!("in config: {e}"))?;
-            Ok(Record::GlobalConfig { config })
-        }
+        "global-config" => Ok(Record::GlobalConfig { config: config()? }),
         "repo-batch" => {
             let space = space(arg)?;
             let mut ops = Vec::new();
@@ -1018,6 +1020,31 @@ mod tests {
                 assert!(msg.contains("checksum"), "{msg}");
             }
             other => panic!("expected a checksum error, got {other:?}"),
+        }
+    }
+
+    /// A frame length ending inside a multi-byte character is
+    /// corruption, not a slicing panic, whether the stored checksum
+    /// then mismatches or (re-framed) matches the cut bytes.
+    #[test]
+    fn length_ending_inside_a_character_is_a_typed_error() {
+        let j = journal();
+        j.append_tenant_create("é");
+        let seg = j.cut().pop().unwrap();
+        let (_, len, _, body) = parse_frame_at(&seg, SEGMENT_HEADER.len() + 1).unwrap();
+        let cut = seg.find('é').unwrap() + 1 - body;
+        let sum = fnv1a64(&seg.as_bytes()[body..body + cut]);
+        let stale = seg.replacen(&format!(" {len} "), &format!(" {cut} "), 1);
+        let reframed = format!("{SEGMENT_HEADER}\nr 1 {cut} {sum:016x}\n{}", &seg[body..]);
+        for (seg, needle) in [(stale, "checksum"), (reframed, "UTF-8")] {
+            match decode_segment(&seg, 0, true) {
+                Err(Error::Journal { record: 1, msg, .. }) => {
+                    assert!(msg.contains(needle), "{msg}")
+                }
+                other => panic!("expected a journal error, got {other:?}"),
+            }
+            assert_eq!(segment_boundaries(&seg), vec![SEGMENT_HEADER.len() + 1]);
+            assert_eq!(segment_seq_span(&seg), None);
         }
     }
 

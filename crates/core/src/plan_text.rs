@@ -203,6 +203,24 @@ pub fn decode_plan(text: &str) -> Result<PhysicalPlan> {
         let rest = parts.next().unwrap_or("");
         let op = decode_op(opname, rest)
             .map_err(|e| Error::Repository(format!("line {}: {e}", lineno + 1)))?;
+        // Inputs must name earlier nodes (the plan is a DAG in
+        // topological order; `PhysicalPlan::add` asserts it), and as
+        // many as the operator reads (the matcher and the compiler
+        // index them).
+        if let Some(bad) = inputs.iter().find(|i| i.index() >= idx) {
+            return Err(err(&format!("input id {} does not name an earlier node", bad.0)));
+        }
+        let arity_ok = match &op {
+            PhysicalOp::Load { .. } => inputs.is_empty(),
+            PhysicalOp::Join { keys } | PhysicalOp::CoGroup { keys } => {
+                !inputs.is_empty() && inputs.len() == keys.len()
+            }
+            PhysicalOp::Union => !inputs.is_empty(),
+            _ => inputs.len() == 1,
+        };
+        if !arity_ok {
+            return Err(err(&format!("{opname} cannot read {} input(s)", inputs.len())));
+        }
         plan.add(op, inputs);
     }
     if plan.is_empty() {
@@ -447,8 +465,34 @@ fn read_quoted(s: &str) -> Result<(String, usize)> {
     Err(Error::Repository("unterminated string".into()))
 }
 
+/// Unquote the Rust-debug-quoted string at the front of `s`; returns it
+/// and the text after its closing quote.
+pub(crate) fn split_quoted(s: &str) -> Result<(String, &str)> {
+    if !s.starts_with('"') {
+        return Err(Error::Repository(format!("expected a quoted string in {s:?}")));
+    }
+    let (_, used) = read_quoted(s)?;
+    Ok((unquote(&s[..used])?, &s[used..]))
+}
+
+/// Decode an indented plan block, consuming lines through its closing
+/// `end` line.
+pub(crate) fn read_plan_block<'a>(
+    lines: &mut impl Iterator<Item = &'a str>,
+) -> Result<PhysicalPlan> {
+    let mut src = String::new();
+    for line in lines {
+        if line == "end" {
+            return decode_plan(&src);
+        }
+        src.push_str(line.trim_start());
+        src.push('\n');
+    }
+    Err(Error::Repository("plan block has no 'end' line".into()))
+}
+
 /// Undo Rust debug-format quoting.
-fn unquote(s: &str) -> Result<String> {
+pub(crate) fn unquote(s: &str) -> Result<String> {
     let s = s.trim();
     let inner = s
         .strip_prefix('"')
@@ -598,6 +642,18 @@ mod tests {
         assert!(decode_plan("5 load \"/x\"").is_err()); // non-dense id
         assert!(decode_plan("0 load /x").is_err()); // unquoted path
         assert!(decode_plan("0 filter (== (c 0)").is_err()); // unterminated
+
+        // Inputs must name earlier nodes, as many as the operator reads.
+        for text in [
+            "0 load \"/a\"\n1 store \"/r\" <- 5", // missing node
+            "0 load \"/a\"\n1 store \"/r\" <- 1", // self-loop
+            "0 load \"/a\"\n1 store \"/r\"",
+            "0 load \"/a\"\n1 load \"/b\" <- 0",
+            "0 load \"/a\"\n1 join 0;0 <- 0",
+            "0 load \"/a\"\n1 split <- 0,0",
+        ] {
+            assert!(decode_plan(text).is_err(), "{text}");
+        }
     }
 
     #[test]

@@ -177,34 +177,9 @@ pub(crate) fn encode_record_into(out: &mut String, path: &str, plan: &PhysicalPl
 pub(crate) fn parse_record_lines(
     lines: &mut std::iter::Peekable<std::str::Lines<'_>>,
 ) -> restore_common::Result<Option<(String, PhysicalPlan)>> {
-    while let Some(l) = lines.peek() {
-        if l.trim().is_empty() {
-            lines.next();
-        } else {
-            break;
-        }
-    }
-    let Some(line) = lines.peek() else { return Ok(None) };
-    let Some(rest) = line.strip_prefix("path ") else { return Ok(None) };
-    let rest = rest.to_string();
-    lines.next();
-    // Reuse plan_text's string unquoting through a Load shim.
-    let path = match crate::plan_text::decode_plan(&format!("0 load {rest}\n")) {
-        Ok(p) => match p.op(p.loads()[0]) {
-            PhysicalOp::Load { path } => path.clone(),
-            _ => unreachable!(),
-        },
-        Err(e) => return Err(e),
-    };
-    let mut plan_src = String::new();
-    for l in lines.by_ref() {
-        if l == "end" {
-            break;
-        }
-        plan_src.push_str(l.trim_start());
-        plan_src.push('\n');
-    }
-    let plan = crate::plan_text::decode_plan(&plan_src)?;
+    let Some(rest) = crate::state::next_keyword(lines, "path ") else { return Ok(None) };
+    let path = crate::plan_text::unquote(rest)?;
+    let plan = crate::plan_text::read_plan_block(lines)?;
     Ok(Some((path, plan)))
 }
 

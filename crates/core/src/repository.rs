@@ -399,24 +399,13 @@ pub(crate) struct ParsedEntry {
 pub(crate) fn parse_entry_lines(
     lines: &mut std::iter::Peekable<std::str::Lines<'_>>,
 ) -> Result<Option<ParsedEntry>> {
-    while let Some(l) = lines.peek() {
-        if l.trim_end().is_empty() {
-            lines.next();
-        } else {
-            break;
-        }
-    }
-    let Some(line) = lines.peek() else { return Ok(None) };
-    let Some(rest) = line.trim_end().strip_prefix("entry ") else { return Ok(None) };
-    let rest = rest.to_string();
-    lines.next();
+    let Some(rest) = crate::state::next_keyword(lines, "entry ") else { return Ok(None) };
     let (id_str, rest) =
         rest.split_once(' ').ok_or_else(|| Error::Repository("truncated entry header".into()))?;
     let id: u64 = id_str.parse().map_err(|_| Error::Repository("bad entry id".into()))?;
-    // Path is Rust-quoted and may contain spaces: find closing quote.
-    let close = find_close_quote(rest)?;
-    let output_path = unquote_header(&rest[..=close])?;
-    let nums: Vec<&str> = rest[close + 1..].split_whitespace().collect();
+    // Path is Rust-quoted and may contain spaces.
+    let (output_path, rest) = plan_text::split_quoted(rest)?;
+    let nums: Vec<&str> = rest.split_whitespace().collect();
     if nums.len() != 8 {
         return Err(Error::Repository(format!("expected 8 stat fields, got {}", nums.len())));
     }
@@ -442,24 +431,12 @@ pub(crate) fn parse_entry_lines(
         let rest = l
             .strip_prefix("input ")
             .ok_or_else(|| Error::Repository(format!("unexpected line {l:?}")))?;
-        let close = find_close_quote(rest)?;
-        let path = unquote_header(&rest[..=close])?;
-        let version: u64 = rest[close + 1..]
-            .trim()
-            .parse()
-            .map_err(|_| Error::Repository("bad input version".into()))?;
+        let (path, rest) = plan_text::split_quoted(rest)?;
+        let version: u64 =
+            rest.trim().parse().map_err(|_| Error::Repository("bad input version".into()))?;
         stats.input_files.push((path, version));
     }
-    let mut plan_src = String::new();
-    loop {
-        let l = lines.next().ok_or_else(|| Error::Repository("truncated plan".into()))?;
-        if l == "end" {
-            break;
-        }
-        plan_src.push_str(l.trim_start());
-        plan_src.push('\n');
-    }
-    let plan = plan_text::decode_plan(&plan_src)?;
+    let plan = plan_text::read_plan_block(lines)?;
     Ok(Some(ParsedEntry { id, output_path, stats, plan }))
 }
 
@@ -1403,30 +1380,6 @@ impl RepoBatch<'_> {
     pub fn pending_entries(&self) -> impl Iterator<Item = &Arc<RepoEntry>> {
         self.shards.iter().flat_map(|s| s.entries.iter())
     }
-}
-
-fn find_close_quote(s: &str) -> Result<usize> {
-    let bytes = s.as_bytes();
-    if bytes.first() != Some(&b'"') {
-        return Err(Error::Repository(format!("expected quoted path in {s:?}")));
-    }
-    let mut i = 1;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'\\' => i += 2,
-            b'"' => return Ok(i),
-            _ => i += 1,
-        }
-    }
-    Err(Error::Repository("unterminated quoted path".into()))
-}
-
-fn unquote_header(s: &str) -> Result<String> {
-    // Reuse plan_text's unquoter through a tiny shim.
-    crate::plan_text::decode_plan(&format!("0 load {s}\n")).map(|p| match p.op(p.loads()[0]) {
-        restore_dataflow::physical::PhysicalOp::Load { path } => path.clone(),
-        _ => unreachable!(),
-    })
 }
 
 #[cfg(test)]

@@ -21,7 +21,7 @@ use restore_dfs::Dfs;
 /// With per-tenant policies (see `ReStore::set_config_as`) each tenant
 /// namespace can carry its own instance: sweeps run with the submitting
 /// tenant's rules, and the policy is serialized with the tenant's state
-/// in `restore-state v2` (`PartialEq` lets round-trip tests compare).
+/// in `restore-state` (`PartialEq` lets round-trip tests compare).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SelectionPolicy {
     /// Store every candidate regardless of rules 1–2 (the paper's

@@ -1,33 +1,27 @@
 //! `restore-state` (de)serialization: the durable session format.
 //!
-//! Four wire versions exist:
+//! [`ReStore::save_state`](crate::ReStore::save_state) writes the
+//! current version, **v5**: the tick/cand counters, the `seq` line (the
+//! snapshot-journal sequence number the dump is anchored at, see
+//! [`crate::journal`]), the global configuration, and **every**
+//! namespace (default and per-tenant) with its policy override (when
+//! set), provenance table, repository, and dead-letter queue (when
+//! non-empty, see [`crate::dlq`]).
 //!
-//! * **v1** (legacy) — tick/cand counters plus the *default* namespace's
-//!   provenance and repository. Written by earlier releases; still
-//!   accepted by [`ReStore::load_state`](crate::ReStore::load_state),
-//!   which loads it into the default namespace.
-//! * **v2** (legacy) — everything a shared session knows: the global
-//!   configuration, the counters, and **every** namespace (default and
-//!   per-tenant) with its repository, provenance table, and — when the
-//!   tenant carries a policy override — its `ReStoreConfig`.
-//! * **v3** (legacy) — v2 plus one `seq <n>` line after the counters:
-//!   the snapshot-journal sequence number the dump is anchored at (see
-//!   [`crate::journal`]). Recovery loads a v3 base and replays only
-//!   journal records with a later sequence number; v1/v2 documents
-//!   anchor at sequence 0, so *any* journal segment replays on top of
-//!   them. Everything else is identical to v2.
-//! * **v4** (legacy) — v3 plus the failure-policy configuration keys
-//!   (see [`crate::failure`]) and, per namespace, an optional `--dlq--`
-//!   section holding the tenant's dead-letter queue (see
-//!   [`crate::dlq`]; omitted when the queue is empty, so sessions that
-//!   never dead-letter dump identically to v3 modulo the header and
-//!   config keys). Earlier versions parse with the policy defaulted
-//!   and the queue empty.
-//! * **v5** (current) — v4 plus three configuration keys: the
-//!   dead-letter queue caps `dlq_max_entries` / `dlq_max_age_ticks`
-//!   (0 = unbounded, the pre-v5 behavior) and `canonicalize` (the
-//!   analyzer toggle; v4-and-earlier documents load with it **on**,
-//!   the v5 default). The document structure is unchanged.
+//! One [`parse`] reads every version, 1 through 5. The header's version
+//! number decides which parts are required; whatever an older version
+//! lacks takes its default:
+//!
+//! * the `seq` line is required from v3 on; older documents anchor at
+//!   sequence 0, so *any* journal segment replays on top of them;
+//! * the `--config--` section and the `--space "<tenant>"--` sections
+//!   are required from v2 on. A v1 document holds one bare provenance /
+//!   repository pair instead and loads into the default namespace only,
+//!   leaving tenants and the global configuration untouched;
+//! * configuration keys missing from a section keep their defaults
+//!   (pre-v4 documents get the default failure policy, pre-v5 ones the
+//!   unbounded dead-letter queue and `canonicalize` on), and a missing
+//!   `--dlq--` section is an empty queue.
 //!
 //! The format is line-oriented. Section headers are `--config--`,
 //! `--provenance--`, `--repository--`, `--dlq--`, and
@@ -47,13 +41,12 @@ use crate::failure::FailureDisposition;
 use crate::provenance::Provenance;
 use crate::repository::Repository;
 use restore_common::{Error, Result};
-use restore_dataflow::physical::PhysicalOp;
 
-pub(crate) const V1_HEADER: &str = "restore-state v1";
-pub(crate) const V2_HEADER: &str = "restore-state v2";
-pub(crate) const V3_HEADER: &str = "restore-state v3";
-pub(crate) const V4_HEADER: &str = "restore-state v4";
-pub(crate) const V5_HEADER: &str = "restore-state v5";
+/// Every document begins with this prefix followed by its version.
+pub(crate) const HEADER_PREFIX: &str = "restore-state v";
+/// The version [`ReStore::save_state`](crate::ReStore::save_state)
+/// writes; [`parse`] reads it and every earlier one.
+pub(crate) const CURRENT_VERSION: u32 = 5;
 
 /// One deserialized namespace (`name == ""` is the default).
 pub(crate) struct LoadedSpace {
@@ -170,6 +163,11 @@ pub(crate) fn encode_config(c: &ReStoreConfig) -> String {
     )
 }
 
+/// A numeric config value, or the caller's positioned error.
+fn num<T: std::str::FromStr>(value: &str, bad: impl Fn() -> Error) -> Result<T> {
+    value.parse().map_err(|_| bad())
+}
+
 /// Decode `key value` config lines. `base` is the document index of the
 /// first line, used for error positions. Unknown keys and malformed
 /// values are errors; missing keys keep their defaults (older snapshots
@@ -190,6 +188,7 @@ pub(crate) fn decode_config(lines: &[&str], base: usize) -> Result<ReStoreConfig
             "false" => Ok(false),
             _ => Err(bad()),
         };
+        let f = &mut c.failure;
         match key {
             "reuse_enabled" => c.reuse_enabled = parse_bool(value)?,
             "heuristic" => c.heuristic = heuristic_from(value).ok_or_else(bad)?,
@@ -200,18 +199,16 @@ pub(crate) fn decode_config(lines: &[&str], base: usize) -> Result<ReStoreConfig
             "store_all" => c.selection.store_all = parse_bool(value)?,
             "require_size_reduction" => c.selection.require_size_reduction = parse_bool(value)?,
             "require_time_benefit" => c.selection.require_time_benefit = parse_bool(value)?,
-            "reload_read_bps" => c.selection.reload_read_bps = value.parse().map_err(|_| bad())?,
+            "reload_read_bps" => c.selection.reload_read_bps = num(value, bad)?,
             "eviction_window" => {
-                c.selection.eviction_window = match value {
-                    "none" => None,
-                    v => Some(v.parse().map_err(|_| bad())?),
-                }
+                c.selection.eviction_window =
+                    if value == "none" { None } else { Some(num(value, bad)?) }
             }
             "check_input_versions" => c.selection.check_input_versions = parse_bool(value)?,
             "repo_shards" => {
                 // 0 (an "unset" default) normalizes to 1; an absurd
                 // count is a typed config error, not a parse error.
-                let n: usize = value.parse().map_err(|_| bad())?;
+                let n: usize = num(value, bad)?;
                 if n > crate::repository::MAX_REPO_SHARDS {
                     return Err(Error::Config(format!(
                         "repo_shards {n} exceeds the maximum of {}",
@@ -220,37 +217,19 @@ pub(crate) fn decode_config(lines: &[&str], base: usize) -> Result<ReStoreConfig
                 }
                 c.repo_shards = crate::repository::normalize_shards(n);
             }
-            "on_failure" => c.failure.on_failure = disposition_from(value).ok_or_else(bad)?,
-            "max_retries" => c.failure.max_retries = value.parse().map_err(|_| bad())?,
-            "retry_backoff_base_ms" => {
-                c.failure.retry_backoff_base_ms = value.parse().map_err(|_| bad())?
-            }
-            "retry_backoff_factor" => {
-                c.failure.retry_backoff_factor = value.parse().map_err(|_| bad())?
-            }
-            "retry_backoff_cap_ms" => {
-                c.failure.retry_backoff_cap_ms = value.parse().map_err(|_| bad())?
-            }
-            "retry_backoff_jitter" => {
-                c.failure.retry_backoff_jitter = value.parse().map_err(|_| bad())?
-            }
-            "failure_window" => c.failure.failure_window = value.parse().map_err(|_| bad())?,
-            "failure_threshold" => {
-                c.failure.failure_threshold = value.parse().map_err(|_| bad())?
-            }
-            "breaker_cooldown_ms" => {
-                c.failure.breaker_cooldown_ms = value.parse().map_err(|_| bad())?
-            }
-            "breaker_half_open_probes" => {
-                c.failure.breaker_half_open_probes = value.parse().map_err(|_| bad())?
-            }
-            "breaker_success_threshold" => {
-                c.failure.breaker_success_threshold = value.parse().map_err(|_| bad())?
-            }
-            "dlq_max_entries" => c.failure.dlq_max_entries = value.parse().map_err(|_| bad())?,
-            "dlq_max_age_ticks" => {
-                c.failure.dlq_max_age_ticks = value.parse().map_err(|_| bad())?
-            }
+            "on_failure" => f.on_failure = disposition_from(value).ok_or_else(bad)?,
+            "max_retries" => f.max_retries = num(value, bad)?,
+            "retry_backoff_base_ms" => f.retry_backoff_base_ms = num(value, bad)?,
+            "retry_backoff_factor" => f.retry_backoff_factor = num(value, bad)?,
+            "retry_backoff_cap_ms" => f.retry_backoff_cap_ms = num(value, bad)?,
+            "retry_backoff_jitter" => f.retry_backoff_jitter = num(value, bad)?,
+            "failure_window" => f.failure_window = num(value, bad)?,
+            "failure_threshold" => f.failure_threshold = num(value, bad)?,
+            "breaker_cooldown_ms" => f.breaker_cooldown_ms = num(value, bad)?,
+            "breaker_half_open_probes" => f.breaker_half_open_probes = num(value, bad)?,
+            "breaker_success_threshold" => f.breaker_success_threshold = num(value, bad)?,
+            "dlq_max_entries" => f.dlq_max_entries = num(value, bad)?,
+            "dlq_max_age_ticks" => f.dlq_max_age_ticks = num(value, bad)?,
             "canonicalize" => c.canonicalize = parse_bool(value)?,
             _ => return Err(err_at(at, format!("unknown config key {key:?}"))),
         }
@@ -258,23 +237,30 @@ pub(crate) fn decode_config(lines: &[&str], base: usize) -> Result<ReStoreConfig
     Ok(c)
 }
 
-/// Invert `{:?}` string quoting (reuses the plan-text unquoter, the
-/// same shim the provenance loader uses). The input must actually be
-/// quoted — the plan-text parser also accepts bare tokens, which would
-/// let malformed headers slip through.
+/// Invert `{:?}` string quoting with the plan-text unquoter. The input
+/// must be exactly one quoted string: the plan-text unquoter also trims
+/// surrounding whitespace, which would let malformed headers slip
+/// through.
 pub(crate) fn unquote(s: &str, at: usize) -> Result<String> {
     if !(s.len() >= 2 && s.starts_with('"') && s.ends_with('"')) {
         return Err(err_at(at, format!("expected a quoted string, got {s}")));
     }
-    let plan = crate::plan_text::decode_plan(&format!("0 load {s}\n"))
-        .map_err(|_| err_at(at, format!("bad quoted string {s}")))?;
-    match plan.op(plan.loads()[0]) {
-        PhysicalOp::Load { path } => Ok(path.clone()),
-        _ => Err(err_at(at, format!("bad quoted string {s}"))),
-    }
+    crate::plan_text::unquote(s).map_err(|_| err_at(at, format!("bad quoted string {s}")))
 }
 
 // ---- document structure ----
+
+/// Skip blank lines; if the next line starts with `keyword`, consume it
+/// and return the rest. Table bodies (provenance, repository, dead
+/// letters, journal batches) dispatch on each record's leading keyword
+/// this way.
+pub(crate) fn next_keyword<'a>(
+    lines: &mut std::iter::Peekable<std::str::Lines<'a>>,
+    keyword: &str,
+) -> Option<&'a str> {
+    while lines.next_if(|l| l.trim().is_empty()).is_some() {}
+    lines.next_if(|l| l.starts_with(keyword)).map(|l| &l[keyword.len()..])
+}
 
 /// Is this line a section header (`--…--`)?
 fn is_header(line: &str) -> bool {
@@ -329,62 +315,58 @@ fn parse_tables(lines: &[&str], idx: usize) -> Result<(Provenance, Repository, u
     Ok((prov, repo, repo_end))
 }
 
-/// Parse any wire version into a [`LoadedState`].
+/// The version number of the header line (`restore-state v<n>`,
+/// `1 <= n <= CURRENT_VERSION`).
+fn parse_version(lines: &[&str]) -> Result<u32> {
+    lines
+        .first()
+        .and_then(|l| l.strip_prefix(HEADER_PREFIX))
+        .filter(|v| v.len() == 1) // rejects spellings like `+5` or `05`
+        .and_then(|v| v.parse().ok())
+        .filter(|v| (1..=CURRENT_VERSION).contains(v))
+        .ok_or_else(|| {
+            err_at(
+                0,
+                format!(
+                    "expected \"{HEADER_PREFIX}1\" through \"{HEADER_PREFIX}{CURRENT_VERSION}\", \
+                     got {:?}",
+                    lines.first().copied().unwrap_or("<empty document>")
+                ),
+            )
+        })
+}
+
+/// Parse any wire version into a [`LoadedState`], filling in what an
+/// older version lacks (see the module docs).
 pub(crate) fn parse(text: &str) -> Result<LoadedState> {
     let lines: Vec<&str> = text.lines().collect();
-    match lines.first().copied() {
-        Some(V1_HEADER) => parse_v1(&lines),
-        Some(V2_HEADER) => parse_v2(&lines, false),
-        Some(V3_HEADER) | Some(V4_HEADER) | Some(V5_HEADER) => parse_v2(&lines, true),
-        other => Err(err_at(
-            0,
-            format!(
-                "expected \"{V1_HEADER}\", \"{V2_HEADER}\", \"{V3_HEADER}\", \"{V4_HEADER}\", \
-                 or \"{V5_HEADER}\", got {:?}",
-                other.unwrap_or("<empty document>")
-            ),
-        )),
-    }
-}
+    let version = parse_version(&lines)?;
+    let tick = parse_counter(&lines, 1, "tick")?;
+    let cand = parse_counter(&lines, 2, "cand")?;
+    let (seq, mut idx) = if version >= 3 { (parse_counter(&lines, 3, "seq")?, 4) } else { (0, 3) };
 
-fn parse_v1(lines: &[&str]) -> Result<LoadedState> {
-    let tick = parse_counter(lines, 1, "tick")?;
-    let cand = parse_counter(lines, 2, "cand")?;
-    let (prov, repo, end) = parse_tables(lines, 3)?;
-    if end != lines.len() {
-        return Err(err_at(end, format!("unexpected trailing section {:?}", lines[end])));
+    if version == 1 {
+        // Predates config and tenant serialization: one bare table
+        // pair, the default namespace.
+        let (prov, repo, end) = parse_tables(&lines, idx)?;
+        if end != lines.len() {
+            return Err(err_at(end, format!("unexpected trailing section {:?}", lines[end])));
+        }
+        let space = LoadedSpace { name: String::new(), config: None, prov, repo, dlq: Vec::new() };
+        return Ok(LoadedState { tick, cand, seq, global_config: None, spaces: vec![space] });
     }
-    Ok(LoadedState {
-        tick,
-        cand,
-        seq: 0,
-        global_config: None,
-        spaces: vec![LoadedSpace {
-            name: String::new(),
-            config: None,
-            prov,
-            repo,
-            dlq: Vec::new(),
-        }],
-    })
-}
 
-/// v2 and v3 share everything but the `seq` line after the counters.
-fn parse_v2(lines: &[&str], with_seq: bool) -> Result<LoadedState> {
-    let tick = parse_counter(lines, 1, "tick")?;
-    let cand = parse_counter(lines, 2, "cand")?;
-    let (seq, cfg_header) = if with_seq { (parse_counter(lines, 3, "seq")?, 4) } else { (0, 3) };
-    if lines.get(cfg_header).copied() != Some("--config--") {
+    if lines.get(idx).copied() != Some("--config--") {
         return Err(err_at(
-            cfg_header,
-            format!("expected --config--, got {:?}", lines.get(cfg_header).unwrap_or(&"<eof>")),
+            idx,
+            format!("expected --config--, got {:?}", lines.get(idx).unwrap_or(&"<eof>")),
         ));
     }
-    let cfg_end = body_end(lines, cfg_header + 1);
-    let global_config = Some(decode_config(&lines[cfg_header + 1..cfg_end], cfg_header + 1)?);
+    let cfg_end = body_end(&lines, idx + 1);
+    let global_config = Some(decode_config(&lines[idx + 1..cfg_end], idx + 1)?);
 
     let mut spaces = Vec::new();
-    let mut idx = cfg_end;
+    idx = cfg_end;
     while idx < lines.len() {
         let header = lines[idx];
         let bad_header = || err_at(idx, format!("expected --space \"<tenant>\"--, got {header:?}"));
@@ -398,18 +380,18 @@ fn parse_v2(lines: &[&str], with_seq: bool) -> Result<LoadedState> {
         }
         idx += 1;
         let config = if lines.get(idx).copied() == Some("--config--") {
-            let end = body_end(lines, idx + 1);
+            let end = body_end(&lines, idx + 1);
             let c = decode_config(&lines[idx + 1..end], idx + 1)?;
             idx = end;
             Some(c)
         } else {
             None
         };
-        let (prov, repo, end) = parse_tables(lines, idx)?;
+        let (prov, repo, end) = parse_tables(&lines, idx)?;
         idx = end;
-        // Optional dead-letter queue (v4+; omitted when empty).
+        // Optional dead-letter queue (omitted when empty).
         let dlq = if lines.get(idx).copied() == Some("--dlq--") {
-            let dend = body_end(lines, idx + 1);
+            let dend = body_end(&lines, idx + 1);
             let q = crate::dlq::load(&lines[idx + 1..dend].join("\n"))
                 .map_err(|e| err_at(idx, format!("in --dlq-- section: {e}")))?;
             idx = dend;

@@ -1,4 +1,4 @@
-//! Durable sessions: the `restore-state v2` format, v1 backward
+//! Durable sessions: the `restore-state` format, v1 backward
 //! compatibility, typed parse errors, and per-tenant policy overrides.
 
 use restore_common::Error;
@@ -61,6 +61,15 @@ plan
 end
 "#;
 
+/// Cut a v1 document by hand from the dump of a session whose only
+/// namespace is the default one and holds no dead letters: the counters
+/// plus its provenance and repository tables.
+fn v1_cut(dump: &str) -> String {
+    let counters: Vec<&str> = dump.lines().skip(1).take(2).collect();
+    let tables = &dump[dump.find("--provenance--").expect("tables")..];
+    format!("restore-state v1\n{}\n{tables}", counters.join("\n"))
+}
+
 #[test]
 fn v1_fixture_from_before_this_pr_still_loads() {
     let d = dfs();
@@ -81,9 +90,10 @@ fn v1_fixture_from_before_this_pr_still_loads() {
     });
     rs.with_provenance_as(None, |prov| assert!(prov.contains("/repo/b")));
 
-    // A v1 document can be re-emitted byte-identically via the legacy
-    // writer (the round-trip property, v1 flavour).
-    assert_eq!(rs.save_state_v1(), V1_FIXTURE);
+    // The default namespace re-saves byte-identically: cutting the
+    // current dump back to v1 reproduces the fixture (the round-trip
+    // property, v1 flavour).
+    assert_eq!(v1_cut(&rs.save_state()), V1_FIXTURE);
 }
 
 #[test]
@@ -91,7 +101,7 @@ fn v1_state_load_preserves_warm_hits() {
     let shared = dfs();
     let rs = ReStore::new(engine_over(shared.clone()), ReStoreConfig::default());
     rs.execute_query(&sum_query("/out/cold"), "/wf/cold").unwrap();
-    let v1 = rs.save_state_v1();
+    let v1 = v1_cut(&rs.save_state());
     drop(rs);
 
     // "Restart": a fresh session over the same DFS resumes from v1 and
@@ -411,6 +421,15 @@ fn corrupt_repository_body_names_the_section() {
         }
         other => panic!("expected Error::State, got {other:?}"),
     }
+}
+
+#[test]
+fn plan_input_past_its_node_is_located() {
+    // A stored plan whose store reads a node that does not exist.
+    let doc = "restore-state v5\ntick 0\ncand 0\nseq 0\n--config--\n--space \"\"--\n\
+               --provenance--\n--repository--\nentry 0 \"/r\" 1 1 1 0 0 0 0 1\nplan\n  \
+               0 load \"/a\"\n  1 store \"/r\" <- 5\nend\n";
+    expect_state_err(doc, 8, "input id 5");
 }
 
 #[test]

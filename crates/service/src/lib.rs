@@ -42,21 +42,18 @@
 //!   gives a tenant its own `ReStoreConfig` (heuristic, §5 selection,
 //!   retention); its workflows run under that policy while everyone
 //!   else follows the global default.
-//! * **Durability** — two modes. *Continuous*:
+//! * **Durability** — one path, the journal plus a compacted base.
 //!   [`RestoreService::checkpoint_begin`] turns on the driver's
-//!   snapshot journal and anchors a base checkpoint, after which
+//!   snapshot journal and anchors a base checkpoint (every namespace,
+//!   policies, dead letters, counters), after which
 //!   [`RestoreService::checkpoint_incremental`] captures deltas
 //!   proportional to what changed — **without pausing dispatch or
 //!   draining in-flight workflows** — and folds the journal into a
 //!   fresh base when it outgrows
 //!   [`CheckpointConfig::compact_ratio`];
 //!   [`RestoreService::restore_incremental`] rebuilds from base +
-//!   segments, tolerating a torn tail from a crash mid-append.
-//!   *Full*: [`RestoreService::snapshot`] drain-quiesces the pool and
-//!   serializes the whole session (every namespace, policies,
-//!   counters) as `restore-state v3`; [`RestoreService::restore`]
-//!   rebuilds a service from such a snapshot with warm-hit parity
-//!   after a process restart.
+//!   segments with warm-hit parity after a process restart, tolerating
+//!   a torn tail from a crash mid-append.
 //!
 //! [`CompiledWorkflow::io_path_sets`]: restore_dataflow::CompiledWorkflow::io_path_sets
 

@@ -173,11 +173,6 @@ pub struct RestoreService {
     config: ServiceConfig,
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
-    /// Serializes quiesced admin operations (`snapshot`, `restore`):
-    /// two quiescers overlapping would both observe an idle pool and
-    /// run their critical sections — e.g. a restore swapping state
-    /// mid-snapshot — so only one may hold the pool quiesced at a time.
-    quiesce: Mutex<()>,
     /// Continuous-checkpoint state; `None` until
     /// [`RestoreService::checkpoint_begin`].
     checkpoint: Mutex<Option<CheckpointKeeper>>,
@@ -236,7 +231,6 @@ impl RestoreService {
             config,
             shared,
             workers,
-            quiesce: Mutex::new(()),
             checkpoint: Mutex::new(None),
             replication,
             obs,
@@ -369,12 +363,16 @@ impl RestoreService {
     /// workflow is in flight, so nothing mutates repository, provenance,
     /// config, or DFS reuse state while `f` runs. Queued submissions
     /// stay queued; dispatch resumes afterwards unless the service was
-    /// already paused by the caller. Concurrent quiescers serialize on
-    /// the quiesce mutex (calling [`RestoreService::resume`] from a
-    /// third thread during a snapshot still un-pauses dispatch — pair
-    /// `resume` with your own `pause`, not with admin operations).
-    fn with_quiesced<R>(&self, f: impl FnOnce(&ReStore) -> R) -> R {
-        let _admin = self.quiesce.lock().unwrap_or_else(|e| e.into_inner());
+    /// already paused by the caller. Quiescers serialize on the
+    /// checkpoint keeper lock, whose guard the caller passes in (calling
+    /// [`RestoreService::resume`] from a third thread during a restore
+    /// still un-pauses dispatch — pair `resume` with your own `pause`,
+    /// not with admin operations).
+    fn with_quiesced<R>(
+        &self,
+        _keeper: &MutexGuard<'_, Option<CheckpointKeeper>>,
+        f: impl FnOnce(&ReStore) -> R,
+    ) -> R {
         let was_paused;
         {
             let mut st = self.shared.lock();
@@ -389,46 +387,6 @@ impl RestoreService {
             self.resume();
         }
         out
-    }
-
-    /// Take a consistent `restore-state v2` snapshot of the whole
-    /// session: pause dispatch, wait for in-flight workflows to drain,
-    /// serialize every tenant namespace (state, provenance, per-tenant
-    /// policy, counters), and resume. Submissions arriving during the
-    /// snapshot are queued, not rejected, and dispatch picks them up as
-    /// soon as the snapshot is written.
-    pub fn snapshot(&self) -> String {
-        self.with_quiesced(|rs| rs.save_state())
-    }
-
-    /// Restore session state serialized by [`RestoreService::snapshot`]
-    /// (or [`ReStore::save_state`], or a legacy v1 document): quiesce
-    /// in-flight work, load the state into the driver, and resume.
-    /// Queued submissions then execute against the restored state.
-    ///
-    /// In continuous-checkpoint mode the keeper is **rebased** exactly
-    /// as [`RestoreService::restore_incremental`] does: the load
-    /// replaces the session wholesale, so the pre-restore base and
-    /// buffered segments are discarded and a fresh base is anchored.
-    /// (The journaled `replace` record would keep the old lineage
-    /// *correct*, but every subsequent set would drag a full-state
-    /// record along — the rebase keeps checkpoint size proportional to
-    /// the restored state.)
-    pub fn restore(&self, state: &str) -> Result<(), ServiceError> {
-        // Keeper before quiesce: the same lock order as
-        // `restore_incremental`, so no capture can interleave between
-        // the state swap and the rebase.
-        let mut keeper = self.checkpoint.lock().unwrap_or_else(|e| e.into_inner());
-        self.with_quiesced(|rs| rs.load_state(state)).map_err(ServiceError::Query)?;
-        if let Some(k) = keeper.as_mut() {
-            // Discard records journaled against the replaced lineage
-            // (including the just-appended `replace`), then anchor.
-            let _ = self.restore.save_state_delta();
-            k.base = self.restore.save_state();
-            k.segments.clear();
-            k.journal_bytes = 0;
-        }
-        Ok(())
     }
 
     /// Attach a warm standby behind `transport`: the driver's journal
@@ -477,9 +435,8 @@ impl RestoreService {
     /// From here, call [`RestoreService::checkpoint_incremental`] on
     /// whatever cadence the durability target requires (every few
     /// seconds, after every N submissions, …) and persist the
-    /// [`CheckpointSet`]. The legacy drain-quiesce
-    /// [`RestoreService::snapshot`] remains available as a manual
-    /// full-dump fallback.
+    /// [`CheckpointSet`]; [`RestoreService::restore_incremental`] brings
+    /// a fresh service back from it.
     pub fn checkpoint_begin(&self, config: CheckpointConfig) -> CheckpointOutcome {
         let mut keeper = self.checkpoint.lock().unwrap_or_else(|e| e.into_inner());
         self.restore.enable_journal(JournalConfig { segment_bytes: config.segment_bytes });
@@ -497,8 +454,7 @@ impl RestoreService {
 
     /// Capture an incremental checkpoint: drain the journal's
     /// accumulated records into sealed segments and append them to the
-    /// checkpoint set. **Zero drain**: unlike
-    /// [`RestoreService::snapshot`], this neither pauses dispatch nor
+    /// checkpoint set. **Zero drain**: this neither pauses dispatch nor
     /// waits for in-flight workflows — capture cost is proportional to
     /// what changed since the last call, so it can run on a tight
     /// cadence under full load.
@@ -554,8 +510,9 @@ impl RestoreService {
     }
 
     /// Rebuild session state from a [`CheckpointSet`]: quiesce the pool
-    /// (like [`RestoreService::restore`]), load the base, and replay
-    /// the journal segments. A torn tail in the final segment — the
+    /// (dispatch pauses and in-flight workflows finish; submissions
+    /// arriving meanwhile queue, they are not rejected), load the base,
+    /// and replay the journal segments. A torn tail in the final segment — the
     /// signature of a crash mid-append — is truncated and reported in
     /// the returned [`RecoveryReport`].
     ///
@@ -571,7 +528,7 @@ impl RestoreService {
         // capture interleaves between the state swap and the rebase.
         let mut keeper = self.checkpoint.lock().unwrap_or_else(|e| e.into_inner());
         let report = self
-            .with_quiesced(|rs| rs.recover(&set.base, &set.segments))
+            .with_quiesced(&keeper, |rs| rs.recover(&set.base, &set.segments))
             .map_err(ServiceError::Query)?;
         if let Some(k) = keeper.as_mut() {
             // Drop records journaled before the restore (stale

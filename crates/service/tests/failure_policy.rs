@@ -16,7 +16,8 @@ use restore_core::{FailureDisposition, FailurePolicy, InProcessLink, ReStore, Re
 use restore_dfs::{Dfs, DfsConfig};
 use restore_mapreduce::{ClusterConfig, Engine, EngineConfig};
 use restore_service::{
-    FaultInjector, RestoreService, ServiceConfig, ServiceError, Standby, SubmitHandle,
+    CheckpointConfig, FaultInjector, RestoreService, ServiceConfig, ServiceError, Standby,
+    SubmitHandle,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -43,6 +44,19 @@ fn service_over(dfs: Dfs) -> RestoreService {
         session_over(dfs),
         ServiceConfig { workers: 2, queue_depth: 64, ..Default::default() },
     )
+}
+
+/// Simulated crash/restart of a checkpointing service: capture what
+/// changed, tear it down, and rebuild a fresh service over the
+/// surviving DFS from the checkpoint set alone.
+fn crash_and_restart(svc: RestoreService, dfs: Dfs) -> RestoreService {
+    svc.drain();
+    svc.checkpoint_incremental().expect("checkpointing enabled");
+    let set = svc.checkpoint_set().expect("checkpointing enabled");
+    svc.shutdown();
+    let svc2 = service_over(dfs);
+    svc2.restore_incremental(&set).expect("checkpoint set restores");
+    svc2
 }
 
 fn query(tag: &str, round: usize) -> (String, String) {
@@ -317,6 +331,7 @@ fn half_open_probe_closes_the_breaker_after_heal() {
 fn redrive_replays_byte_identically_to_a_fresh_submission() {
     let dfs = fresh_dfs();
     let svc = service_over(dfs.clone());
+    svc.checkpoint_begin(CheckpointConfig::default());
     let outage = TenantOutage::new("rd");
     svc.set_fault_injector(Some(outage.clone()));
     svc.set_tenant_config(
@@ -347,21 +362,19 @@ fn redrive_replays_byte_identically_to_a_fresh_submission() {
     assert!(svc.render_metrics().contains("restore_dlq_redrives_total 1"));
 
     // The ack is journaled: a restarted service sees the empty queue.
-    let snap = svc.snapshot();
-    svc.shutdown();
-    let svc2 = service_over(dfs);
-    svc2.restore(&snap).unwrap();
+    let svc2 = crash_and_restart(svc, dfs);
     assert_eq!(svc2.dlq_depth(Some("rd")), 0);
     svc2.shutdown();
 }
 
 /// Dead letters are part of the durable state: a service rebuilt from a
-/// snapshot serves the exact parked entries, and they re-drive to
+/// checkpoint set serves the exact parked entries, and they re-drive to
 /// completion once the fault is gone.
 #[test]
 fn dlq_survives_crash_restart_and_redrives() {
     let dfs = fresh_dfs();
     let svc = service_over(dfs.clone());
+    svc.checkpoint_begin(CheckpointConfig::default());
     svc.set_fault_injector(Some(TenantOutage::new("park")));
     svc.set_tenant_config(
         Some("park"),
@@ -373,11 +386,8 @@ fn dlq_survives_crash_restart_and_redrives() {
     let parked = svc.dlq_entries(Some("park"));
     assert_eq!(parked.len(), 2);
 
-    // Crash: snapshot, tear down, rebuild from the snapshot alone.
-    let snap = svc.snapshot();
-    svc.shutdown();
-    let svc2 = service_over(dfs);
-    svc2.restore(&snap).unwrap();
+    // Crash: checkpoint, tear down, rebuild from the set alone.
+    let svc2 = crash_and_restart(svc, dfs);
     assert_eq!(svc2.dlq_entries(Some("park")), parked, "restored queue is exact");
 
     // No injector on the rebuilt service: the redrive completes.

@@ -45,8 +45,7 @@ fn checkpoint_before_begin_is_rejected() {
 
 /// The acceptance property: a capture taken while a slow workflow is
 /// in flight returns with that workflow **still in flight** — the
-/// incremental path never drain-quiesces the pool the way the full
-/// `snapshot()` does.
+/// incremental path never drain-quiesces the pool.
 #[test]
 fn checkpoint_incremental_completes_with_zero_drain() {
     let svc = service_over(shared_dfs(), 2);
@@ -172,46 +171,6 @@ fn restore_rebases_the_checkpoint_keeper() {
         resumed.driver().save_state(),
         reference,
         "post-restore checkpoint sets must describe the restored lineage"
-    );
-}
-
-/// Regression: the **legacy full-snapshot** `restore()` must rebase the
-/// checkpoint keeper exactly like `restore_incremental` does. It used
-/// to leave the pre-restore base and segments in place, so the next
-/// `checkpoint_set()` spliced the old lineage under post-restore
-/// deltas — a set that silently resurrected rolled-back state.
-#[test]
-fn legacy_restore_rebases_the_checkpoint_keeper() {
-    let dfs = shared_dfs();
-    let svc = service_over(dfs.clone(), 2);
-    svc.checkpoint_begin(CheckpointConfig::default());
-
-    // Epoch 1: work captured in a *full* snapshot.
-    svc.submit(Some("ana"), &queries::l3("/out/lr/e1"), "/wf/lr/e1").unwrap().wait().unwrap();
-    let full = svc.snapshot();
-
-    // Epoch 2: diverge under continuous checkpointing…
-    svc.submit(Some("bo"), &queries::l8("/out/lr/e2"), "/wf/lr/e2").unwrap().wait().unwrap();
-    svc.drain();
-    svc.checkpoint_incremental().unwrap();
-
-    // …then roll back to epoch 1 through the legacy path.
-    svc.restore(&full).expect("full-snapshot restore");
-
-    // Epoch 3: new work on the restored lineage. The set taken now must
-    // reproduce the live session — no epoch-2 residue, no stale base.
-    svc.submit(Some("ana"), &queries::l3("/out/lr/e3"), "/wf/lr/e3").unwrap().wait().unwrap();
-    svc.drain();
-    svc.checkpoint_incremental().unwrap();
-    let set = svc.checkpoint_set().unwrap();
-    let reference = svc.driver().save_state();
-
-    let resumed = service_over(dfs, 1);
-    resumed.restore_incremental(&set).expect("recovery");
-    assert_eq!(
-        resumed.driver().save_state(),
-        reference,
-        "snapshot restore must rebase the keeper like restore_incremental"
     );
 }
 

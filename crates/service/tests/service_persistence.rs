@@ -1,11 +1,11 @@
-//! Durable multi-tenant serving: crash-restart parity, snapshots under
-//! load, and per-tenant policy submission through the service.
+//! Durable multi-tenant serving: crash-restart parity through
+//! checkpoint sets, snapshots under load, and per-tenant policy
+//! submission through the service.
 
 use restore_core::{Heuristic, ReStore, ReStoreConfig, ReStoreStats, SelectionPolicy};
 use restore_dfs::{Dfs, DfsConfig};
 use restore_mapreduce::{ClusterConfig, Engine, EngineConfig};
-use restore_service::{RestoreService, ServiceConfig};
-use std::sync::Arc;
+use restore_service::{CheckpointConfig, CheckpointSet, RestoreService, ServiceConfig};
 use std::time::Duration;
 
 const TENANTS: [&str; 4] = ["ana", "bo", "cy", "dee"];
@@ -96,6 +96,25 @@ fn submit_round(svc: &RestoreService, round: usize) -> Vec<Outcome> {
         .collect()
 }
 
+/// Simulated crash/restart: capture what changed since the last
+/// checkpoint, tear the whole process state down, and bring up a fresh
+/// service over the surviving DFS from the checkpoint set alone (base
+/// plus journal segments).
+fn crash_and_restart(svc: RestoreService, dfs: &Dfs) -> RestoreService {
+    let set = checkpoint_now(&svc);
+    svc.shutdown();
+    let svc2 = service_over(dfs.clone(), ReStoreConfig::default());
+    svc2.restore_incremental(&set).expect("checkpoint set restores");
+    svc2
+}
+
+/// Drain, capture an incremental checkpoint, and return the set.
+fn checkpoint_now(svc: &RestoreService) -> CheckpointSet {
+    svc.drain();
+    svc.checkpoint_incremental().expect("checkpointing enabled");
+    svc.checkpoint_set().expect("checkpointing enabled")
+}
+
 fn install_overrides(svc: &RestoreService) {
     // ana materializes conservatively; dee registers nothing final.
     svc.set_tenant_config(
@@ -115,21 +134,13 @@ fn install_overrides(svc: &RestoreService) {
 fn run_scenario(restart: bool) -> (Vec<Outcome>, Vec<ReStoreStats>, Vec<ReStoreConfig>) {
     let dfs = fresh_dfs();
     let svc = service_over(dfs.clone(), ReStoreConfig::default());
+    // Both arms checkpoint from the start, so the overrides and round 1
+    // reach the restarted service through journal replay.
+    svc.checkpoint_begin(CheckpointConfig::default());
     install_overrides(&svc);
     submit_round(&svc, 1);
 
-    let svc = if restart {
-        // Simulated crash/restart: snapshot, tear the whole process
-        // state down, and bring up a fresh service over the surviving
-        // DFS from the snapshot alone.
-        let snap = svc.snapshot();
-        svc.shutdown();
-        let svc2 = service_over(dfs.clone(), ReStoreConfig::default());
-        svc2.restore(&snap).expect("snapshot restores");
-        svc2
-    } else {
-        svc
-    };
+    let svc = if restart { crash_and_restart(svc, &dfs) } else { svc };
 
     let outcomes = submit_round(&svc, 2);
     let stats = TENANTS.iter().map(|t| svc.driver().stats_as(Some(t))).collect();
@@ -139,7 +150,7 @@ fn run_scenario(restart: bool) -> (Vec<Outcome>, Vec<ReStoreStats>, Vec<ReStoreC
 }
 
 /// The crash-restart suite's core claim: a service rebuilt from a
-/// snapshot serves round 2 exactly as the uninterrupted service would
+/// checkpoint set serves round 2 exactly as the uninterrupted service would
 /// have — same per-tenant warm-hit statistics, same output bytes, same
 /// repository state, same effective policies.
 #[test]
@@ -162,8 +173,9 @@ fn crash_restart_matches_uninterrupted_run() {
 }
 
 /// `save_state` raced against strict-eviction sweeps and in-flight
-/// workflows: every snapshot loads cleanly, and a quiesced snapshot
-/// never references a path that does not exist in the DFS.
+/// workflows: every snapshot loads cleanly, a quiesced snapshot never
+/// references a path that does not exist in the DFS, and neither does
+/// a session recovered from the checkpoint set journaled meanwhile.
 #[test]
 fn snapshot_under_load_never_serializes_dead_paths() {
     let dfs = fresh_dfs();
@@ -173,7 +185,8 @@ fn snapshot_under_load_never_serializes_dead_paths() {
         selection: SelectionPolicy { eviction_window: Some(2), ..Default::default() },
         ..Default::default()
     };
-    let svc = Arc::new(service_over(dfs.clone(), config));
+    let svc = service_over(dfs.clone(), config);
+    svc.checkpoint_begin(CheckpointConfig::default());
 
     let mut handles = Vec::new();
     for wave in 0..6 {
@@ -197,21 +210,27 @@ fn snapshot_under_load_never_serializes_dead_paths() {
             std::thread::sleep(Duration::from_millis(1));
         }
         let snap = svc.driver().save_state();
-        assert_all_paths_live(&snap, &dfs);
+        assert_all_paths_live(&loaded(&snap, &dfs), &dfs);
         svc.resume();
     }
     for h in handles {
         h.wait().expect("workflow completes despite snapshots and sweeps");
     }
-    let final_snap = svc.snapshot();
-    assert_all_paths_live(&final_snap, &dfs);
+    let recovered = crash_and_restart(svc, &dfs);
+    assert_all_paths_live(recovered.driver(), &dfs);
+    recovered.shutdown();
 }
 
-/// Load `snap` into a scratch session and assert every repository and
-/// provenance path in every namespace has a file behind it.
-fn assert_all_paths_live(snap: &str, dfs: &Dfs) {
+/// `snap` loaded into a scratch session over `dfs`.
+fn loaded(snap: &str, dfs: &Dfs) -> ReStore {
     let scratch = ReStore::new(engine_over(dfs.clone()), ReStoreConfig::default());
     scratch.load_state(snap).expect("snapshot loads");
+    scratch
+}
+
+/// Assert every repository and provenance path in every namespace of
+/// `scratch` has a file behind it.
+fn assert_all_paths_live(scratch: &ReStore, dfs: &Dfs) {
     let mut namespaces: Vec<Option<String>> = vec![None];
     namespaces.extend(scratch.tenant_ids().into_iter().map(Some));
     for ns in namespaces {
@@ -236,34 +255,39 @@ fn assert_all_paths_live(snap: &str, dfs: &Dfs) {
     }
 }
 
-/// Submissions arriving while a snapshot quiesces the pool are queued —
+/// Submissions arriving while a restore quiesces the pool are queued —
 /// not rejected — and execute once dispatch resumes.
 #[test]
 fn snapshot_queues_concurrent_submissions() {
     let dfs = fresh_dfs();
-    let svc = Arc::new(service_over(dfs, ReStoreConfig::default()));
+    let svc = service_over(dfs, ReStoreConfig::default());
+    svc.checkpoint_begin(CheckpointConfig::default());
     let (q, wf) = tenant_query("ana", 1);
     svc.submit(Some("ana"), &q, &wf).unwrap().wait().unwrap();
+    let set = checkpoint_now(&svc);
+    assert!(set.base.starts_with("restore-state v5\n"));
 
-    // A snapshotting thread and a submitting thread race.
-    let snap = std::thread::scope(|s| {
-        let svc2 = svc.clone();
-        let snapper = s.spawn(move || svc2.snapshot());
+    // A restoring thread and a submitting thread race. Whichever runs
+    // first, the submission sees ana's repository: the restored state
+    // holds it too.
+    let report = std::thread::scope(|s| {
+        let restorer = s.spawn(|| svc.restore_incremental(&set));
         let (q2, wf2) = tenant_query("ana", 2);
         let h = svc.submit(Some("ana"), &q2, &wf2).expect("queued, not rejected");
-        let e = h.wait().expect("completes after the snapshot resumes dispatch");
-        assert_eq!(e.jobs_skipped, 1, "warm hit straddling a snapshot");
-        snapper.join().expect("snapshot thread")
+        let e = h.wait().expect("completes after the restore resumes dispatch");
+        assert_eq!(e.jobs_skipped, 1, "warm hit straddling a restore");
+        restorer.join().expect("restore thread")
     });
-    assert!(snap.starts_with("restore-state v5\n"));
+    report.expect("the set restores");
 }
 
 /// The service's per-tenant config APIs change behaviour for that
-/// tenant only, and overrides ride along in snapshots.
+/// tenant only, and overrides ride along in checkpoint sets.
 #[test]
 fn per_tenant_policy_submission_via_service() {
     let dfs = fresh_dfs();
     let svc = service_over(dfs.clone(), ReStoreConfig::default());
+    svc.checkpoint_begin(CheckpointConfig::default());
     let frugal = ReStoreConfig {
         heuristic: Heuristic::None,
         register_final_outputs: false,
@@ -284,10 +308,7 @@ fn per_tenant_policy_submission_via_service() {
     assert!(svc.driver().stats_as(Some("ana")).repository_entries > 0);
 
     // The override is part of the durable state.
-    let snap = svc.snapshot();
-    svc.shutdown();
-    let svc2 = service_over(dfs, ReStoreConfig::default());
-    svc2.restore(&snap).unwrap();
+    let svc2 = crash_and_restart(svc, &dfs);
     assert_eq!(svc2.tenant_config(Some("frugal")), frugal);
     svc2.shutdown();
 }

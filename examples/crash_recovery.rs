@@ -10,13 +10,15 @@
 //! leaves on disk. Recovery loads the base, replays the journal,
 //! truncates the torn tail, and the warm rerun is served from the
 //! recovered repositories. The loop repeats the kill at several
-//! offsets to show recovery is offset-independent.
+//! offsets to show recovery is offset-independent; the last pass is a
+//! clean shutdown, whose recovery reproduces the live session byte for
+//! byte, per-tenant policy overrides included.
 //!
 //! ```sh
 //! cargo run --example crash_recovery
 //! ```
 
-use restore_suite::core::{ReStore, ReStoreConfig};
+use restore_suite::core::{Heuristic, ReStore, ReStoreConfig};
 use restore_suite::dfs::{Dfs, DfsConfig};
 use restore_suite::mapreduce::{ClusterConfig, Engine, EngineConfig};
 use restore_suite::pigmix::{datagen, queries, DataScale};
@@ -63,6 +65,10 @@ fn main() {
     let service = new_service(dfs.clone());
     let begin = service.checkpoint_begin(CheckpointConfig::default());
     println!("base checkpoint anchored: {} bytes", begin.base_bytes);
+    service.set_tenant_config(
+        Some("ana"),
+        ReStoreConfig { heuristic: Heuristic::Conservative, ..Default::default() },
+    );
     for round in 0..3 {
         let skipped = run_round(&service, &format!("r{round}"));
         let outcome = service.checkpoint_incremental().expect("capture");
@@ -114,6 +120,11 @@ fn main() {
                 resumed.driver().save_state(),
                 reference,
                 "untorn recovery must be byte-identical to the crashed session"
+            );
+            assert_eq!(
+                resumed.tenant_config(Some("ana")).heuristic,
+                Heuristic::Conservative,
+                "per-tenant policy overrides are part of the durable state",
             );
         }
         // Whatever prefix we recovered is internally consistent: it
